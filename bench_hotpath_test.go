@@ -15,10 +15,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
 
+	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/cover"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/pmem"
@@ -47,6 +50,43 @@ func BenchmarkHotpathHookStore64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		addr := pmem.Addr(i%hotAddrWords) * 8
 		th.Store64(addr, uint64(i), taint.None, taint.None)
+	}
+}
+
+// BenchmarkHotpathHookStore64Tainted measures a labelled store whose finding
+// the detector already holds — the steady state of every durable side effect
+// a target repeats: label expansion, the still-dirty check and a dedup hit,
+// with no stack walk.
+func BenchmarkHotpathHookStore64Tainted(b *testing.B) {
+	env := rt.NewEnv(pmem.New(hotPoolSize), rt.Config{})
+	w, r := env.Spawn(), env.Spawn()
+	w.Store64(64, 7, taint.None, taint.None)
+	v, lab := r.Load64(64)
+	store := func() { r.Store64(512, v, lab, taint.None) }
+	store() // records the finding
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store()
+	}
+}
+
+// BenchmarkHotpathSyncStore measures a store to an annotated lock word with
+// 64 segment locks registered (CCEH's shape): the sync-variable lookup and a
+// dedup hit on every value change.
+func BenchmarkHotpathSyncStore(b *testing.B) {
+	const locks = 64
+	env := rt.NewEnv(pmem.New(hotPoolSize), rt.Config{})
+	for i := 0; i < locks; i++ {
+		env.AnnotateSyncVar(core.SyncVar{Name: "segment-lock", Addr: pmem.Addr(i) * 256, Size: 8})
+	}
+	th := env.Spawn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Each visit to a lock word flips it, so every store is a
+		// value change the checker must look up.
+		th.Store64(pmem.Addr(i%locks)*256, uint64(i/locks)&1, taint.None, taint.None)
 	}
 }
 
@@ -184,6 +224,32 @@ func hotpathThroughput(workers int) (float64, error) {
 	return samples[1], nil
 }
 
+// benchHost identifies where a BENCH file was measured, so numbers from two
+// revisions are only compared when they come from comparable hosts.
+type benchHost struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+func currentHost() benchHost {
+	h := benchHost{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Commit:     "unknown",
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" && s.Value != "" {
+				h.Commit = s.Value
+			}
+		}
+	}
+	return h
+}
+
 // TestHotpathBenchJSON regenerates BENCH_hotpath.json: the microbenchmark
 // numbers above plus the Workers=1/2/4/8 campaign throughput sweep. Gated
 // because it runs the full sweep (~15s).
@@ -192,14 +258,16 @@ func TestHotpathBenchJSON(t *testing.T) {
 		t.Skip("set PMRACE_BENCH=1 to regenerate BENCH_hotpath.json")
 	}
 	micro := map[string]func(*testing.B){
-		"hook_store64":    BenchmarkHotpathHookStore64,
-		"hook_load64":     BenchmarkHotpathHookLoad64,
-		"bitmap_set":      BenchmarkHotpathBitmapSet,
-		"bitmap_merge":    BenchmarkHotpathBitmapMerge,
-		"registry_here":   BenchmarkHotpathRegistryHere,
-		"site_cache_here": BenchmarkHotpathSiteCacheHere,
-		"restore_dirty":   BenchmarkHotpathRestoreDirty,
-		"restore_full":    BenchmarkHotpathRestoreFull,
+		"hook_store64":         BenchmarkHotpathHookStore64,
+		"hook_store64_tainted": BenchmarkHotpathHookStore64Tainted,
+		"sync_store":           BenchmarkHotpathSyncStore,
+		"hook_load64":          BenchmarkHotpathHookLoad64,
+		"bitmap_set":           BenchmarkHotpathBitmapSet,
+		"bitmap_merge":         BenchmarkHotpathBitmapMerge,
+		"registry_here":        BenchmarkHotpathRegistryHere,
+		"site_cache_here":      BenchmarkHotpathSiteCacheHere,
+		"restore_dirty":        BenchmarkHotpathRestoreDirty,
+		"restore_full":         BenchmarkHotpathRestoreFull,
 	}
 	type microResult struct {
 		NsPerOp     float64 `json:"ns_per_op"`
@@ -207,10 +275,12 @@ func TestHotpathBenchJSON(t *testing.T) {
 	}
 	out := struct {
 		Date       string                 `json:"date"`
+		Host       benchHost              `json:"host"`
 		Micro      map[string]microResult `json:"micro"`
 		Throughput []map[string]float64   `json:"throughput_pclht"`
 	}{
 		Date:  time.Now().UTC().Format(time.RFC3339),
+		Host:  currentHost(),
 		Micro: make(map[string]microResult),
 	}
 	for name, fn := range micro {

@@ -103,18 +103,16 @@ func (b *BatchAnalyzer) Process(tid pmem.ThreadID, clock uint32, recs []LogRecor
 	b.statsMu.Unlock()
 }
 
-// Stats returns a deep copy of the per-address statistics accumulated so far.
+// Stats hands over the per-address statistics accumulated so far. The caller
+// owns the returned map: the analyzer starts an empty one, so a later drain
+// never writes to it and a later call returns only what accumulated since.
 // Statistics become visible when a thread's log drains (sync points, full
-// log, thread exit), so callers read them at quiescent points.
+// log, thread exit), so callers take them once, at a quiescent point.
 func (b *BatchAnalyzer) Stats() map[pmem.Addr]*sched.AddrStats {
 	b.statsMu.Lock()
 	defer b.statsMu.Unlock()
-	out := make(map[pmem.Addr]*sched.AddrStats, len(b.stats))
-	for a, st := range b.stats {
-		c := sched.NewAddrStats()
-		c.Merge(st)
-		out[a] = c
-	}
+	out := b.stats
+	b.stats = make(map[pmem.Addr]*sched.AddrStats)
 	return out
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -121,11 +122,15 @@ type Inconsistency struct {
 // Key returns the dedup key: inconsistencies with the same dirty write site
 // and side-effect site are one report.
 func (in *Inconsistency) Key() [3]uint32 {
+	return inconKey(in.Event.WriteSite, in.StoreSite, in.Kind)
+}
+
+func inconKey(writeSite uint32, storeSite site.ID, kind Kind) [3]uint32 {
 	k := uint32(0)
-	if in.Kind == KindIntra {
+	if kind == KindIntra {
 		k = 1
 	}
-	return [3]uint32{in.Event.WriteSite, uint32(in.StoreSite), k}
+	return [3]uint32{writeSite, uint32(storeSite), k}
 }
 
 // SyncVar is a programmer annotation for a persistent synchronization
@@ -159,6 +164,11 @@ type SyncInconsistency struct {
 	Count int
 }
 
+// overlaps reports whether the annotation shares a byte with [addr, addr+size).
+func (v *SyncVar) overlaps(addr pmem.Addr, size uint64) bool {
+	return addr+size > v.Addr && addr < v.Addr+v.Size
+}
+
 // DedupKey returns the (variable, site) key the result database dedups by.
 func (si *SyncInconsistency) DedupKey() string {
 	return fmt.Sprintf("%s@%d", si.Var.Name, si.Site)
@@ -169,7 +179,15 @@ type Detector struct {
 	mu     sync.Mutex
 	labels *taint.Table
 
+	// syncVars lists the distinct annotations in registration order;
+	// syncSet makes re-registering an identical annotation a no-op (CCEH's
+	// recovery and P-CLHT's resize re-annotate every exec). syncWord maps
+	// each annotated word to the index of the first registration covering
+	// it, so a store finds its variable with one lookup per word instead
+	// of a scan.
 	syncVars []SyncVar
+	syncSet  map[SyncVar]struct{}
+	syncWord map[pmem.Addr]int32
 	// hasSync mirrors len(syncVars) > 0; the store hook polls it on every
 	// store, so it is atomic instead of taking mu.
 	hasSync atomic.Bool
@@ -180,14 +198,21 @@ type Detector struct {
 	incons   map[[3]uint32]*Inconsistency
 	inconOrd [][3]uint32
 
-	syncSeen map[string]*SyncInconsistency // "name@site"
-	syncOrd  []string
+	syncSeen map[syncKey]*SyncInconsistency
+	syncOrd  []syncKey
 
 	redundant map[uint32]*RedundantStore
 	redOrd    []uint32
 
 	redFlush    map[uint32]*RedundantFlush
 	redFlushOrd []uint32
+}
+
+// syncKey identifies a synchronization inconsistency: one update site of one
+// annotated variable type.
+type syncKey struct {
+	name string
+	site site.ID
 }
 
 // RedundantStore records a PM store site observed writing back the value the
@@ -208,7 +233,9 @@ func NewDetector(labels *taint.Table) *Detector {
 		labels:     labels,
 		candidates: make(map[[2]uint32]*Candidate),
 		incons:     make(map[[3]uint32]*Inconsistency),
-		syncSeen:   make(map[string]*SyncInconsistency),
+		syncSet:    make(map[SyncVar]struct{}),
+		syncWord:   make(map[pmem.Addr]int32),
+		syncSeen:   make(map[syncKey]*SyncInconsistency),
 		redundant:  make(map[uint32]*RedundantStore),
 	}
 }
@@ -244,11 +271,48 @@ func (d *Detector) Labels() *taint.Table { return d.labels }
 
 // AnnotateSyncVar registers a persistent synchronization variable. It
 // corresponds to the pm_sync_var_hint(size, init_val) annotation macro.
+// Registering an identical annotation again is a no-op. Where annotations
+// overlap, a store is attributed to the first one registered.
 func (d *Detector) AnnotateSyncVar(v SyncVar) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if _, dup := d.syncSet[v]; dup {
+		return
+	}
+	d.syncSet[v] = struct{}{}
+	idx := int32(len(d.syncVars))
 	d.syncVars = append(d.syncVars, v)
+	for w := v.Addr &^ (pmem.WordSize - 1); w < v.Addr+v.Size; w += pmem.WordSize {
+		if _, taken := d.syncWord[w]; !taken {
+			d.syncWord[w] = idx
+		}
+	}
 	d.hasSync.Store(true)
+}
+
+// syncVarAt returns the index of the first registered annotation sharing a
+// byte with [addr, addr+size), or -1. The caller holds mu.
+func (d *Detector) syncVarAt(addr pmem.Addr, size uint64) int {
+	first := -1
+	for w := addr &^ (pmem.WordSize - 1); w < addr+size; w += pmem.WordSize {
+		if i, ok := d.syncWord[w]; ok && (first < 0 || int(i) < first) {
+			first = int(i)
+		}
+	}
+	if first < 0 {
+		return -1
+	}
+	if d.syncVars[first].overlaps(addr, size) {
+		return first
+	}
+	// Only annotations narrower than a word get here: the word's first
+	// registration misses the stored bytes, but a later one may not.
+	for i := range d.syncVars {
+		if d.syncVars[i].overlaps(addr, size) {
+			return i
+		}
+	}
+	return -1
 }
 
 // HasSyncVars cheaply reports whether any annotation is registered.
@@ -290,8 +354,11 @@ type StoreCheck struct {
 	ValLab  taint.Label
 	AddrLab taint.Label
 	// External marks a non-PM durable effect (see Inconsistency.External).
-	External   bool
-	Stack      []string
+	External bool
+	// Stack returns the call stack at the store. OnStore calls it at most
+	// once, and only when the store records a new inconsistency: duplicate
+	// and stale events, the common case, never pay for a stack walk.
+	Stack      func() []string
 	StillDirty func(addr pmem.Addr, epoch uint32) bool
 }
 
@@ -301,9 +368,14 @@ type StoreCheck struct {
 // intra-thread inconsistency is recorded. Events whose dirty word lies
 // inside the stored range itself are skipped: overwriting the dependent
 // non-persisted data is not a side effect (Definition 2). It returns the
-// newly recorded inconsistencies (empty when all were duplicates or stale).
+// newly recorded inconsistencies (empty when all were duplicates or stale),
+// each complete with its stack and lineage before any other goroutine can
+// see it.
 func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
-	var found []*Inconsistency
+	var (
+		fresh []*Inconsistency // not yet recorded when checked
+		buf   [32]taint.Event  // label expansion; longer lineages spill to the heap
+	)
 	for _, pair := range [2]struct {
 		lab  taint.Label
 		flow FlowKind
@@ -311,8 +383,9 @@ func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
 		if pair.lab == taint.None {
 			continue
 		}
-		lineage := d.labels.Events(pair.lab)
-		for _, ev := range lineage {
+		events := d.labels.AppendEvents(buf[:0], pair.lab)
+		var lineage []taint.Event // events' copy, made for the first new finding
+		for _, ev := range events {
 			// Skip self-overwrite of the dependent data (external
 			// effects overwrite nothing).
 			if !sc.External && ev.Addr >= sc.Addr&^7 && ev.Addr < sc.Addr+sc.Size {
@@ -325,7 +398,13 @@ func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
 			if ev.Inter() {
 				kind = KindInter
 			}
-			in := &Inconsistency{
+			if d.countIfRecorded(inconKey(ev.WriteSite, sc.Site, kind)) {
+				continue
+			}
+			if lineage == nil {
+				lineage = slices.Clone(events)
+			}
+			fresh = append(fresh, &Inconsistency{
 				Kind:        kind,
 				Event:       ev,
 				StoreSite:   sc.Site,
@@ -334,60 +413,103 @@ func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
 				SideEffect:  pmem.Range{Off: sc.Addr, Len: sc.Size},
 				DirtyRange:  pmem.Range{Off: ev.Addr, Len: pmem.WordSize},
 				Flow:        pair.flow,
-				Stack:       sc.Stack,
 				Lineage:     lineage,
 				Count:       1,
-			}
-			d.mu.Lock()
-			if prev, ok := d.incons[in.Key()]; ok {
-				prev.Count++
-				d.mu.Unlock()
-				continue
-			}
-			d.incons[in.Key()] = in
-			d.inconOrd = append(d.inconOrd, in.Key())
-			d.mu.Unlock()
-			found = append(found, in)
+			})
 		}
 	}
+	if len(fresh) == 0 {
+		return nil
+	}
+	var stack []string
+	if sc.Stack != nil {
+		stack = sc.Stack()
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	found := fresh[:0]
+	for _, in := range fresh {
+		key := in.Key()
+		if prev, ok := d.incons[key]; ok {
+			// Recorded since the check: by a concurrent store, or by
+			// an earlier event of this one with the same key.
+			prev.Count++
+			continue
+		}
+		in.Stack = stack
+		d.incons[key] = in
+		d.inconOrd = append(d.inconOrd, key)
+		found = append(found, in)
+	}
 	return found
+}
+
+// countIfRecorded counts one more occurrence of the inconsistency with the
+// given key and reports true when it is already recorded.
+func (d *Detector) countIfRecorded(key [3]uint32) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	prev, ok := d.incons[key]
+	if ok {
+		prev.Count++
+	}
+	return ok
 }
 
 // OnSyncStore checks whether a store touches an annotated synchronization
 // variable and records a PM Synchronization Inconsistency if so. Only value
 // changes count (the checker watches "the changes of user-annotated
 // synchronization variables", §4.1); each (variable, site) pair is recorded
-// once. It returns the inconsistency when newly recorded.
-func (d *Detector) OnSyncStore(t pmem.ThreadID, s site.ID, addr pmem.Addr, size uint64, oldVal, newVal uint64, stack []string) *SyncInconsistency {
+// once. stack, when non-nil, is called only for a pair not yet recorded, and
+// its result is set before the inconsistency is published. It returns the
+// inconsistency when newly recorded.
+func (d *Detector) OnSyncStore(t pmem.ThreadID, s site.ID, addr pmem.Addr, size uint64, oldVal, newVal uint64, stack func() []string) *SyncInconsistency {
 	if oldVal == newVal {
 		return nil
 	}
+	v, ok := d.unrecordedSyncVar(s, addr, size)
+	if !ok {
+		return nil
+	}
+	si := &SyncInconsistency{
+		Var:    v,
+		Addr:   v.Addr,
+		Site:   s,
+		Thread: t,
+		OldVal: oldVal,
+		NewVal: newVal,
+		Count:  1,
+	}
+	if stack != nil {
+		si.Stack = stack()
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, v := range d.syncVars {
-		if addr+size <= v.Addr || addr >= v.Addr+v.Size {
-			continue
-		}
-		key := fmt.Sprintf("%s@%d", v.Name, s)
-		if prev, ok := d.syncSeen[key]; ok {
-			prev.Count++
-			return nil
-		}
-		si := &SyncInconsistency{
-			Var:    v,
-			Addr:   v.Addr,
-			Site:   s,
-			Thread: t,
-			OldVal: oldVal,
-			NewVal: newVal,
-			Stack:  stack,
-			Count:  1,
-		}
-		d.syncSeen[key] = si
-		d.syncOrd = append(d.syncOrd, key)
-		return si
+	key := syncKey{v.Name, s}
+	if prev, ok := d.syncSeen[key]; ok {
+		prev.Count++ // recorded by a concurrent store since the check
+		return nil
 	}
-	return nil
+	d.syncSeen[key] = si
+	d.syncOrd = append(d.syncOrd, key)
+	return si
+}
+
+// unrecordedSyncVar returns the annotation a store to [addr, addr+size) at
+// site s updates. ok is false when no annotation covers the range, or when
+// the (variable, site) pair is already recorded; that occurrence is counted.
+func (d *Detector) unrecordedSyncVar(s site.ID, addr pmem.Addr, size uint64) (v SyncVar, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	i := d.syncVarAt(addr, size)
+	if i < 0 {
+		return SyncVar{}, false
+	}
+	if prev, seen := d.syncSeen[syncKey{d.syncVars[i].Name, s}]; seen {
+		prev.Count++
+		return SyncVar{}, false
+	}
+	return d.syncVars[i], true
 }
 
 // Candidates returns all recorded candidates in detection order.

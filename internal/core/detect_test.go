@@ -192,8 +192,124 @@ func TestSyncStoreOutsideAnnotationIgnored(t *testing.T) {
 func TestSyncStoreOverlapDetected(t *testing.T) {
 	d := newDet()
 	d.AnnotateSyncVar(SyncVar{Name: "lock", Addr: 128, Size: 16})
-	if d.OnSyncStore(1, 50, 136, 8, 0, 1, nil) == nil {
+	si := d.OnSyncStore(1, 50, 136, 8, 0, 1, nil)
+	if si == nil {
 		t.Fatalf("store overlapping annotated range must be detected")
+	}
+	// The second word maps back to the annotation, not to its own word.
+	if si.Var.Name != "lock" || si.Addr != 128 {
+		t.Fatalf("second-word store reported %+v", si)
+	}
+	if d.OnSyncStore(1, 51, 144, 8, 0, 1, nil) != nil {
+		t.Fatalf("store past a Size 16 annotation must be ignored")
+	}
+	// An unaligned store straddling into the annotation overlaps it.
+	if si := d.OnSyncStore(1, 52, 124, 8, 0, 1, nil); si == nil || si.Var.Name != "lock" {
+		t.Fatalf("straddling store = %+v", si)
+	}
+}
+
+func TestSyncVarReRegistrationIsNoOp(t *testing.T) {
+	d := newDet()
+	lock := SyncVar{Name: "segment-lock", Addr: 128, Size: 8}
+	d.AnnotateSyncVar(lock)
+	d.AnnotateSyncVar(SyncVar{Name: "dir-lock", Addr: 64, Size: 8})
+	if d.OnSyncStore(1, 50, 128, 8, 0, 1, nil) == nil {
+		t.Fatalf("first store must be reported")
+	}
+	before := d.SyncVars()
+	d.AnnotateSyncVar(lock) // recovery re-annotates every lock
+	d.AnnotateSyncVar(lock)
+	if got := d.SyncVars(); len(got) != len(before) || got[0] != before[0] || got[1] != before[1] {
+		t.Fatalf("SyncVars after re-registration = %+v, want %+v", got, before)
+	}
+	if d.OnSyncStore(1, 50, 128, 8, 1, 0, nil) != nil {
+		t.Fatalf("re-registration must not reset the (variable, site) dedup")
+	}
+	if si := d.OnSyncStore(1, 51, 128, 8, 0, 1, nil); si == nil || si.Var != lock {
+		t.Fatalf("new site after re-registration = %+v", si)
+	}
+	if sis := d.SyncInconsistencies(); len(sis) != 2 || sis[0].Count != 2 {
+		t.Fatalf("syncs = %+v", sis)
+	}
+	// A differing annotation at the same address is a new registration.
+	d.AnnotateSyncVar(SyncVar{Name: "segment-lock", Addr: 128, Size: 8, InitVal: 1})
+	if got := d.SyncVars(); len(got) != 3 {
+		t.Fatalf("differing annotation must register, SyncVars = %+v", got)
+	}
+}
+
+func TestSyncVarOverlapFirstRegistrationWins(t *testing.T) {
+	d := newDet()
+	d.AnnotateSyncVar(SyncVar{Name: "first", Addr: 128, Size: 8})
+	d.AnnotateSyncVar(SyncVar{Name: "second", Addr: 128, Size: 16})
+	if si := d.OnSyncStore(1, 50, 128, 8, 0, 1, nil); si == nil || si.Var.Name != "first" {
+		t.Fatalf("shared word reported %+v, want the first registration", si)
+	}
+	// The second word is covered by the later annotation alone.
+	if si := d.OnSyncStore(1, 50, 136, 8, 0, 1, nil); si == nil || si.Var.Name != "second" {
+		t.Fatalf("second word reported %+v", si)
+	}
+	// A store covering both words matches the earliest registration.
+	if si := d.OnSyncStore(1, 51, 132, 8, 0, 1, nil); si == nil || si.Var.Name != "first" {
+		t.Fatalf("straddling store reported %+v", si)
+	}
+}
+
+func TestSyncVarSubWordAnnotations(t *testing.T) {
+	d := newDet()
+	d.AnnotateSyncVar(SyncVar{Name: "lo", Addr: 128, Size: 4})
+	d.AnnotateSyncVar(SyncVar{Name: "hi", Addr: 132, Size: 4})
+	// Both annotations share a word; the bytes decide.
+	if si := d.OnSyncStore(1, 50, 132, 4, 0, 1, nil); si == nil || si.Var.Name != "hi" {
+		t.Fatalf("upper half reported %+v", si)
+	}
+	if si := d.OnSyncStore(1, 50, 128, 4, 0, 1, nil); si == nil || si.Var.Name != "lo" {
+		t.Fatalf("lower half reported %+v", si)
+	}
+}
+
+func TestSyncStackCapturedOnlyForNewPairs(t *testing.T) {
+	d := newDet()
+	d.AnnotateSyncVar(SyncVar{Name: "lock", Addr: 128, Size: 8})
+	calls := 0
+	stack := func() []string { calls++; return []string{"f.go:1 pkg.f"} }
+	si := d.OnSyncStore(1, 50, 128, 8, 0, 1, stack)
+	if si == nil || len(si.Stack) != 1 {
+		t.Fatalf("new pair must carry the stack: %+v", si)
+	}
+	d.OnSyncStore(1, 50, 128, 8, 1, 0, stack) // duplicate pair
+	d.OnSyncStore(1, 50, 128, 8, 0, 0, stack) // no value change
+	d.OnSyncStore(1, 50, 256, 8, 0, 1, stack) // not annotated
+	if calls != 1 {
+		t.Fatalf("stack captured %d times, want 1", calls)
+	}
+}
+
+func TestStoreStackCapturedOnlyForNewFindings(t *testing.T) {
+	d := newDet()
+	a := d.OnDirtyRead(interEvent(10, 20, 64))
+	b := d.OnDirtyRead(interEvent(11, 21, 128))
+	lab := d.Labels().Union(a, b)
+	calls := 0
+	sc := StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab, StillDirty: alwaysDirty,
+		Stack: func() []string { calls++; return []string{"f.go:1 pkg.f"} }}
+	found := d.OnStore(sc)
+	if len(found) != 2 || calls != 1 {
+		t.Fatalf("two new findings: found %d, stack calls %d, want 2 and 1", len(found), calls)
+	}
+	if len(found[0].Stack) != 1 || len(found[1].Lineage) != 2 {
+		t.Fatalf("findings must be complete: %+v", found[1])
+	}
+	if len(d.OnStore(sc)) != 0 || calls != 1 {
+		t.Fatalf("duplicate store captured a stack (%d calls)", calls)
+	}
+	sc.StillDirty = neverDirty
+	if len(d.OnStore(sc)) != 0 || calls != 1 {
+		t.Fatalf("stale store captured a stack (%d calls)", calls)
+	}
+	if got := d.Inconsistencies(); got[0].Count != 2 || got[1].Count != 2 {
+		t.Fatalf("duplicates must be counted: %d, %d", got[0].Count, got[1].Count)
 	}
 }
 

@@ -215,9 +215,11 @@ func (e *Env) lockUnacquirable(addr pmem.Addr, self pmem.ThreadID) bool {
 	return !live
 }
 
-// Stats returns the per-address access statistics collected so far. With the
+// Stats hands over the per-address access statistics collected so far; the
+// caller owns the returned map (see core.BatchAnalyzer.Stats). With the
 // epoch-log hooks, statistics become visible when a thread's log drains (sync
-// points, full log, thread exit); callers read them at quiescent points.
+// points, full log, thread exit), so callers take them once the threads have
+// exited, typically after EndExec.
 func (e *Env) Stats() map[pmem.Addr]*sched.AddrStats {
 	return e.batch.Stats()
 }

@@ -1,12 +1,15 @@
 package rt
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/pmem"
+	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/taint"
 )
 
@@ -255,6 +258,64 @@ func TestSyncVarAnnotationTriggersCallback(t *testing.T) {
 	t1.SpinUnlock(64) // different site: second report
 	if len(syncs) != 2 {
 		t.Fatalf("unlock must also report, got %d", len(syncs))
+	}
+}
+
+// TestFindingsCompleteWhenPublished reads the detector's findings while
+// driver threads are still recording new ones. Run under -race it fails if
+// a finding is published before its stack or lineage is set.
+func TestFindingsCompleteWhenPublished(t *testing.T) {
+	const n = 64
+	e := NewEnv(pmem.New(8192), Config{})
+	w, r, l := e.Spawn(), e.Spawn(), e.Spawn()
+	for i := 0; i < n; i++ {
+		// Distinct write sites and variable names: every store below
+		// records a new finding.
+		w.store64At(pmem.Addr(i*8), uint64(i+1), taint.None, taint.None, site.Named(fmt.Sprintf("publish-w%d", i)))
+		e.AnnotateSyncVar(core.SyncVar{Name: fmt.Sprintf("publish-lock%d", i), Addr: pmem.Addr(4096 + i*8), Size: 8})
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			v, lab := r.Load64(pmem.Addr(i * 8))
+			r.Store64(pmem.Addr(1024+i*8), v, lab, taint.None)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			l.Store64(pmem.Addr(4096+i*8), 1, taint.None, taint.None)
+		}
+	}()
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	frames := 0
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		for _, in := range e.Detector().Inconsistencies() {
+			frames += len(in.Stack) + len(in.Lineage)
+		}
+		for _, si := range e.Detector().SyncInconsistencies() {
+			frames += len(si.Stack)
+		}
+	}
+	ins, syncs := e.Detector().Inconsistencies(), e.Detector().SyncInconsistencies()
+	if len(ins) != n || len(syncs) != n || frames == 0 {
+		t.Fatalf("recorded %d inconsistencies and %d sync inconsistencies, want %d each", len(ins), len(syncs), n)
+	}
+	for _, si := range syncs {
+		if len(si.Stack) == 0 {
+			t.Fatalf("sync inconsistency %s published without a stack", si.Var.Name)
+		}
 	}
 }
 

@@ -350,7 +350,7 @@ func (t *Thread) ExternSideEffect(lab taint.Label) {
 		Size:     0,
 		ValLab:   lab,
 		External: true,
-		Stack:    captureStack(),
+		Stack:    captureStack,
 		StillDirty: func(a pmem.Addr, epoch uint32) bool {
 			m := e.pool.WordState(a)
 			return m.Dirty && epoch > m.CleanEpoch
@@ -496,7 +496,8 @@ func (t *Thread) SpinUnlock(addr pmem.Addr) {
 
 // checkSideEffect runs the durable-side-effect checker for a store with the
 // given labels and dispatches newly found inconsistencies to the campaign
-// callback while the pool still reflects the buggy state.
+// callback while the pool still reflects the buggy state. The detector
+// captures the stack itself, and only for a new finding.
 func (t *Thread) checkSideEffect(s site.ID, addr pmem.Addr, n uint64, valLab, addrLab taint.Label) {
 	if valLab == taint.None && addrLab == taint.None {
 		return
@@ -509,7 +510,7 @@ func (t *Thread) checkSideEffect(s site.ID, addr pmem.Addr, n uint64, valLab, ad
 		Size:    n,
 		ValLab:  valLab,
 		AddrLab: addrLab,
-		Stack:   captureStack(),
+		Stack:   captureStack,
 		StillDirty: func(a pmem.Addr, epoch uint32) bool {
 			// The dependency is live while the word has stayed
 			// non-persisted since the observed store: overwrites
@@ -530,10 +531,7 @@ func (t *Thread) checkSyncVar(s site.ID, addr pmem.Addr, n uint64, old, new uint
 	if !t.env.det.HasSyncVars() {
 		return
 	}
-	si := t.env.det.OnSyncStore(t.ID, s, addr, n, old, new, nil)
-	if si != nil {
-		si.Stack = captureStack()
-	}
+	si := t.env.det.OnSyncStore(t.ID, s, addr, n, old, new, captureStack)
 	if si != nil && t.env.cfg.OnSync != nil {
 		t.env.cfg.OnSync(t.env, si)
 	}

@@ -1,6 +1,10 @@
 package taint
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // Label identifies a set of taint sources. The zero label is the empty set.
 type Label uint32
@@ -46,6 +50,13 @@ type Table struct {
 	nodes  []node // index 0 unused (Label 0 = None)
 	unions map[[2]Label]Label
 	seq    uint64
+
+	// mark and gen are the visited set of AppendEvents: label l was visited
+	// by the current walk iff mark[l] == gen, so bumping gen empties the
+	// set. stack is the walk's reusable work list.
+	mark  []uint32
+	gen   uint32
+	stack []Label
 }
 
 // NewTable creates an empty label table.
@@ -102,37 +113,48 @@ func (t *Table) UnionAll(labels []Label) Label {
 
 // Events expands a label into its set of leaf events. The result is
 // deduplicated and ordered by event sequence number.
-func (t *Table) Events(l Label) []Event {
+func (t *Table) Events(l Label) []Event { return t.AppendEvents(nil, l) }
+
+// AppendEvents appends the leaf events of l to dst, deduplicated and ordered
+// by event sequence number, and returns the extended slice. The walk reuses
+// the table's own visited set and stack, so expanding into a dst with room
+// to spare allocates nothing — the store checker does this on every tainted
+// PM store.
+func (t *Table) AppendEvents(dst []Event, l Label) []Event {
 	if l == None {
-		return nil
+		return dst
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	seen := map[Label]bool{}
-	var out []Event
-	var walk func(Label)
-	walk = func(l Label) {
-		if l == None || seen[l] || int(l) >= len(t.nodes) {
-			return
+	if n := len(t.nodes); len(t.mark) < n {
+		t.mark = append(t.mark, make([]uint32, n-len(t.mark))...)
+	}
+	t.gen++
+	if t.gen == 0 {
+		clear(t.mark)
+		t.gen = 1
+	}
+	start := len(dst)
+	stack := append(t.stack[:0], l)
+	for len(stack) > 0 {
+		l := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if l == None || int(l) >= len(t.nodes) || t.mark[l] == t.gen {
+			continue
 		}
-		seen[l] = true
-		n := t.nodes[l]
+		t.mark[l] = t.gen
+		n := &t.nodes[l]
 		if n.l == None && n.r == None {
-			out = append(out, n.ev)
-			return
+			dst = append(dst, n.ev)
+			continue
 		}
-		walk(n.l)
-		walk(n.r)
+		stack = append(stack, n.r, n.l)
 	}
-	walk(l)
-	// Insertion order of the walk may interleave; sort by Seq for
-	// deterministic reports.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Seq < out[j-1].Seq; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	t.stack = stack
+	// Walk order depends on the union shape; sequence numbers are unique
+	// per table, so sorting by them gives deterministic reports.
+	slices.SortFunc(dst[start:], func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	return dst
 }
 
 // Has reports whether the label's event set contains an event with the given
