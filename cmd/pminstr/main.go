@@ -1,12 +1,12 @@
-// Command pminstr generates an instrumented shadow package from a plain
+// Command pminstr generates an instrumented package from a plain
 // pmplain-dialect package: every persistent-memory access is rewritten into
 // the corresponding rt.Thread hook call with taint labels threaded through,
-// preserving line numbers so the shadow target produces the same file:line
-// bug fingerprints as a hand-instrumented twin. See DESIGN.md §15.
+// preserving file names and line numbers so the generated target's file:line
+// bug fingerprints name the plain source's lines. See DESIGN.md §15.
 //
 // Usage:
 //
-//	pminstr -src <dir> [-out <dir>] [-pkg <name>] [-prefix pminstr_] [-diff] [-check]
+//	pminstr -src <dir> [-out <dir>] [-pkg <name>] [-diff] [-check]
 //
 // -src is the plain package directory (relative to the module root). -out
 // defaults to a sibling directory named after -pkg; -pkg defaults to the
@@ -37,13 +37,12 @@ func main() {
 
 func run() int {
 	var (
-		src    = flag.String("src", "", "plain package directory (required)")
-		out    = flag.String("out", "", "output directory (default: sibling of -src named after -pkg)")
-		pkg    = flag.String("pkg", "", "generated package name (default: source package name + \"gen\")")
-		prefix = flag.String("prefix", instr.ShadowFilePrefix, "generated file name prefix")
-		diff   = flag.Bool("diff", false, "compare against existing output instead of writing; drift is an error")
-		check  = flag.Bool("check", false, "run pmvet's analyzers over the output package; findings are errors")
-		quiet  = flag.Bool("q", false, "suppress progress output")
+		src   = flag.String("src", "", "plain package directory (required)")
+		out   = flag.String("out", "", "output directory (default: sibling of -src named after -pkg)")
+		pkg   = flag.String("pkg", "", "generated package name (default: source package name + \"gen\")")
+		diff  = flag.Bool("diff", false, "compare against existing output instead of writing; drift is an error")
+		check = flag.Bool("check", false, "run pmvet's analyzers over the output package; findings are errors")
+		quiet = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
 	if *src == "" {
@@ -79,7 +78,7 @@ func run() int {
 		outDir = filepath.Join(filepath.Dir(filepath.Clean(*src)), pkgName)
 	}
 
-	files, err := instr.Generate(pkgIn, instr.Options{PkgName: pkgName, FilePrefix: *prefix})
+	files, err := instr.Generate(pkgIn, instr.Options{PkgName: pkgName})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pminstr: %v\n", err)
 		return 2

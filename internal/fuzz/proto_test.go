@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -106,14 +107,14 @@ func campaignDetections(t *testing.T, protocol bool) (map[string]bool, map[strin
 	detected := map[string]bool{}
 	confirmed := map[string]bool{}
 	for _, j := range res.DB.Inconsistencies() {
-		fp := NormalizeFingerprint(artifact.FingerprintInconsistency(j.Inconsistency))
+		fp := artifact.FingerprintInconsistency(j.Inconsistency)
 		detected[fp] = true
 		if j.Status == core.StatusBug {
 			confirmed[fp] = true
 		}
 	}
 	for _, j := range res.DB.Syncs() {
-		fp := NormalizeFingerprint(artifact.FingerprintSync(j.SyncInconsistency))
+		fp := artifact.FingerprintSync(j.SyncInconsistency)
 		detected[fp] = true
 		if j.Status == core.StatusBug {
 			confirmed[fp] = true
@@ -155,4 +156,13 @@ func TestProtocolCampaignMatchesSynthetic(t *testing.T) {
 	if len(protoBugs) == 0 {
 		t.Errorf("protocol campaign confirmed no bugs")
 	}
+}
+
+func sortedKeys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -47,7 +47,7 @@ func (s labset) union(o labset) labset {
 // literal strings and *vlab references (rendered after naming). Except for
 // the freeform end-of-file marker, an edit must preserve the newline count
 // of the region it replaces — line-number preservation is the contract that
-// makes generated bug fingerprints match the hand-instrumented target.
+// makes generated bug fingerprints name the plain source's lines.
 type edit struct {
 	lo, hi   int    // byte offsets into the source; lo==hi inserts
 	parts    []any  // string | *vlab

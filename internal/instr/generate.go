@@ -1,6 +1,6 @@
 // Package instr is the pminstr auto-instrumentation generator: given a Go
 // package written against the plain pmplain dialect (internal/pmplain), it
-// emits an instrumented shadow package in which every persistent-memory
+// emits an instrumented package in which every persistent-memory
 // load, store, flush, fence and annotation is rewritten into the
 // corresponding rt.Thread hook call with taint labels threaded through —
 // the tool-assisted analogue of the paper's compile-time instrumentation
@@ -16,11 +16,10 @@
 //
 //   - Line-number preservation: every rewrite is a byte-range splice that
 //     keeps the newline count of the region it replaces, so each PM access
-//     in the shadow package sits on the same line as in the plain source.
+//     in the generated package sits on the same line as in the plain source.
 //     Site IDs (and therefore bug fingerprints) are file:line with base
-//     filenames; output files carry the "pminstr_" prefix, which the fuzz
-//     layer strips when comparing fingerprints across the hand- and
-//     auto-instrumented variants of a target.
+//     filenames, and each output file keeps its source's base name, so the
+//     generated target's fingerprints name the plain source's lines.
 package instr
 
 import (
@@ -40,41 +39,30 @@ import (
 	"github.com/pmrace-go/pmrace/internal/lint"
 )
 
-// ShadowFilePrefix is prepended to every generated file name so shadow
-// sites are distinguishable from hand-instrumented ones. internal/fuzz's
-// fingerprint normalizer strips exactly this prefix; the two constants are
-// pinned equal by a test.
-const ShadowFilePrefix = "pminstr_"
-
 // pmplainSuffix identifies the plain dialect package by import-path suffix,
 // matching the suffix convention of internal/lint's analyzers.
 const pmplainSuffix = "internal/pmplain"
 
 // Options configures one generation run.
 type Options struct {
-	// PkgName is the package name of the generated shadow package
+	// PkgName is the package name of the generated package
 	// (required; it must differ from the source package name so both can
 	// live in the same module).
 	PkgName string
-	// FilePrefix overrides ShadowFilePrefix for generated file names.
-	FilePrefix string
 }
 
-// File is one generated shadow source file.
+// File is one generated source file.
 type File struct {
-	Name string // base name, e.g. "pminstr_pclht.go"
+	Name string // base name of the source file, e.g. "pclht.go"
 	Src  []byte
 }
 
-// Generate instruments every file of pkg, returning the shadow files in the
-// order of pkg.Files. The input package must import internal/pmplain; all
-// rewrite errors are joined and reported together.
+// Generate instruments every file of pkg, returning the generated files in
+// the order of pkg.Files. The input package must import internal/pmplain;
+// all rewrite errors are joined and reported together.
 func Generate(pkg *lint.Package, opts Options) ([]File, error) {
 	if opts.PkgName == "" {
 		return nil, errors.New("instr: Options.PkgName is required")
-	}
-	if opts.FilePrefix == "" {
-		opts.FilePrefix = ShadowFilePrefix
 	}
 	if len(pkg.Files) == 0 {
 		return nil, fmt.Errorf("instr: package %s has no files", pkg.PkgPath)
@@ -109,7 +97,7 @@ func Generate(pkg *lint.Package, opts Options) ([]File, error) {
 			continue
 		}
 		if len(fg.errs) == 0 {
-			files = append(files, File{Name: opts.FilePrefix + names[f], Src: out})
+			files = append(files, File{Name: names[f], Src: out})
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
@@ -403,7 +391,7 @@ func (fg *fileGen) importsEdit() {
 // that no existing line moved.
 func (fg *fileGen) verify(out []byte) error {
 	fset := token.NewFileSet()
-	parsed, err := parser.ParseFile(fset, fg.opts.FilePrefix+fg.name, out, parser.ParseComments)
+	parsed, err := parser.ParseFile(fset, fg.name, out, parser.ParseComments)
 	if err != nil {
 		return fmt.Errorf("instr: generated %s does not parse: %w", fg.name, err)
 	}

@@ -29,15 +29,19 @@ func loadRel(t *testing.T, rel string) *lint.Package {
 	return pkg
 }
 
+// generatedPCLHT is the checked-in pminstr output for the P-CLHT target,
+// relative to this package's directory.
+var generatedPCLHT = filepath.Join("..", "targets", "pclht", "pclht.go")
+
 // TestGenerateReproducesCheckedInShadow is the golden test: running the
 // generator over internal/targets/pclhtplain must reproduce the checked-in
-// internal/targets/pclhtgen shadow byte for byte. If this fails after an
+// internal/targets/pclht/pclht.go byte for byte. If this fails after an
 // intentional generator or plain-source change, regenerate with
 //
-//	go run ./cmd/pminstr -src internal/targets/pclhtplain -out internal/targets/pclhtgen -pkg pclhtgen
+//	go run ./cmd/pminstr -src internal/targets/pclhtplain -out internal/targets/pclht -pkg pclht
 func TestGenerateReproducesCheckedInShadow(t *testing.T) {
 	pkg := loadRel(t, "internal/targets/pclhtplain")
-	files, err := instr.Generate(pkg, instr.Options{PkgName: "pclhtgen"})
+	files, err := instr.Generate(pkg, instr.Options{PkgName: "pclht"})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -45,27 +49,27 @@ func TestGenerateReproducesCheckedInShadow(t *testing.T) {
 		t.Fatalf("generated %d files, want 1", len(files))
 	}
 	f := files[0]
-	if f.Name != "pminstr_pclht.go" {
-		t.Fatalf("generated file name %q, want %q", f.Name, "pminstr_pclht.go")
+	if f.Name != filepath.Base(generatedPCLHT) {
+		t.Fatalf("generated file name %q, want %q", f.Name, filepath.Base(generatedPCLHT))
 	}
-	want, err := os.ReadFile(filepath.Join("..", "targets", "pclhtgen", f.Name))
+	want, err := os.ReadFile(generatedPCLHT)
 	if err != nil {
-		t.Fatalf("reading checked-in shadow: %v", err)
+		t.Fatalf("reading checked-in generated code: %v", err)
 	}
 	if !bytes.Equal(f.Src, want) {
-		t.Errorf("generated %s drifts from the checked-in shadow; regenerate internal/targets/pclhtgen with cmd/pminstr", f.Name)
+		t.Errorf("generated %s drifts from the checked-in code; regenerate internal/targets/pclht with cmd/pminstr", f.Name)
 	}
 }
 
 // TestGeneratePreservesHookLines checks the generator's load-bearing layout
-// property: every PM hook call sits on the same line in the shadow as in the
-// plain source, so site IDs (base file + line) agree modulo the file prefix.
+// property: every PM hook call sits on the same line in the generated file as
+// in the plain source, so site IDs (base file + line) agree.
 func TestGeneratePreservesHookLines(t *testing.T) {
 	plain, err := os.ReadFile(filepath.Join("..", "targets", "pclhtplain", "pclht.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := os.ReadFile(filepath.Join("..", "targets", "pclhtgen", "pminstr_pclht.go"))
+	gen, err := os.ReadFile(generatedPCLHT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,22 +100,23 @@ func TestGeneratePreservesHookLines(t *testing.T) {
 // unit suite: the checked-in generated package must produce zero findings
 // from every pmvet analyzer.
 func TestGeneratedShadowIsPmvetClean(t *testing.T) {
-	pkg := loadRel(t, "internal/targets/pclhtgen")
+	pkg := loadRel(t, "internal/targets/pclht")
 	findings, err := lint.Run([]*lint.Package{pkg}, lint.Analyzers())
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
 	for _, f := range findings {
-		t.Errorf("pmvet finding in generated shadow: %s %s:%d %s", f.Analyzer, f.File, f.Line, f.Message)
+		t.Errorf("pmvet finding in generated code: %s %s:%d %s", f.Analyzer, f.File, f.Line, f.Message)
 	}
 }
 
 // TestGenerateAugmentsInternalHelpers spot-checks the augmentation fixed
-// point on the checked-in shadow: label-returning unexported helpers gain an
-// appended taint.Label result, while error-returning ones keep their
-// signature untouched.
+// point and the label threading on the checked-in generated code:
+// label-returning unexported helpers gain an appended taint.Label result,
+// error-returning ones keep their signature untouched, and each label
+// decision settled against DFSan (DESIGN.md §15.4) holds.
 func TestGenerateAugmentsInternalHelpers(t *testing.T) {
-	gen, err := os.ReadFile(filepath.Join("..", "targets", "pclhtgen", "pminstr_pclht.go"))
+	gen, err := os.ReadFile(generatedPCLHT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +128,27 @@ func TestGenerateAugmentsInternalHelpers(t *testing.T) {
 		// resize returns only an error: error results never count toward the
 		// augmentation decision, so the signature survives unchanged.
 		"func (h *HT) resize(t *rt.Thread) error {",
+		// Decision 1: newTable is derived from n (newTable(t, n*2)), so the
+		// published table pointers carry n's label as their value label,
+		// DFSan's rule for a function result.
+		"t.Store64(h.root+fldTableNew, newTable, nLab, taint.None)",
+		"t.Store64(h.root+fldHtOff, newTable, nLab, taint.None)",
+		// Decision 2: the Bug-4 write-back address depends on n only
+		// through the loop bound, a control dependence DFSan ignores.
+		"t.Store64(ob+bktKey0+pmem.Addr(s*8), k, kLab, oldTableLab)",
+		// Decision 3: recovery's lock resets address memory off the pool
+		// root, so their address label is the root's.
+		"t.Store64(root+fldResizeLock, 0, taint.None, rootLab)",
+		"t.Store64(root+fldGCLock, 0, taint.None, rootLab)",
+		"t.Store64(root+fldStatusLock, 0, taint.None, rootLab)",
 	} {
 		if !strings.Contains(src, want) {
-			t.Errorf("generated shadow missing %q", want)
+			t.Errorf("generated code missing %q", want)
 		}
 	}
 	for _, stale := range []string{"pmplain.", "internal/pmplain"} {
 		if strings.Contains(src, stale) {
-			t.Errorf("generated shadow still references %q", stale)
+			t.Errorf("generated code still references %q", stale)
 		}
 	}
 }

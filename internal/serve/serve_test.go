@@ -46,17 +46,23 @@ func bigSpec(workers int) api.CampaignSpec {
 
 func waitState(t *testing.T, cl *client.Client, id string, want api.State) *api.Campaign {
 	t.Helper()
+	return waitFor(t, cl, id, "state "+string(want), func(doc *api.Campaign) bool { return doc.State == want })
+}
+
+// waitFor polls campaign id until done reports true, failing after 30s.
+func waitFor(t *testing.T, cl *client.Client, id, what string, done func(*api.Campaign) bool) *api.Campaign {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		doc, err := cl.Get(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if doc.State == want {
+		if done(doc) {
 			return doc
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("campaign %s stuck in %q, want %q", id, doc.State, want)
+			t.Fatalf("campaign %s (state %q) never reached %s", id, doc.State, what)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -111,7 +117,9 @@ func TestSubmitGetCancelRoundTrip(t *testing.T) {
 	}
 
 	// Cancelling the running campaign drains it: workers finish their
-	// in-flight executions and the partial results stay readable.
+	// in-flight executions and the partial results stay readable. Wait for
+	// a first execution so there are partial results to keep.
+	waitFor(t, cl, a.ID, "its first execution", func(doc *api.Campaign) bool { return doc.Stats.Execs > 0 })
 	if _, err := cl.Cancel(ctx, a.ID); err != nil {
 		t.Fatal(err)
 	}

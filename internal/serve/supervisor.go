@@ -38,7 +38,6 @@ import (
 	_ "github.com/pmrace-go/pmrace/internal/targets/fastfair"
 	_ "github.com/pmrace-go/pmrace/internal/targets/memcached"
 	_ "github.com/pmrace-go/pmrace/internal/targets/pclht"
-	_ "github.com/pmrace-go/pmrace/internal/targets/pclhtgen"
 	_ "github.com/pmrace-go/pmrace/internal/targets/pmwal"
 )
 

@@ -1,24 +1,24 @@
-// Package pclhtplain is the UNINSTRUMENTED P-CLHT: the same persistent
-// cache-line hash table as internal/targets/pclht — including the five bugs
-// PMRace found in it (paper Table 2, Bugs 1-5) — written against the plain
-// pmplain dialect with no rt.Thread hooks and no taint labels. It is the
-// input corpus for the pminstr generator: `pminstr -src .../pclhtplain`
-// regenerates internal/targets/pclhtgen, whose campaign behaviour must
-// match the hand-instrumented target bug for bug.
+// P-CLHT in the plain pmplain dialect: the input to cmd/pminstr.
+
+// P-CLHT is the persistent cache-line hash table from RECIPE (SOSP '19)
+// that the paper evaluates, with the five bugs PMRace found in it (paper
+// Table 2): Bug 1 (Inter) inserts through an unflushed table pointer after
+// a resize; Bug 2 (Sync) leaves bucket locks held across restarts; Bug 3
+// (Intra) does GC bookkeeping from the resizer's own unflushed table_new;
+// Bug 4 (Other) redundantly writes back old bucket keys during migration;
+// Bug 5 (Other) leaks the bucket lock when update misses its key.
 //
-// The file is LINE-ALIGNED with pclht/pclht.go: every PM access sits on
-// the same line number as its hand-instrumented counterpart, and pminstr
-// preserves line numbers when rewriting, so the generated shadow package
-// produces identical file:line bug fingerprints (modulo the pminstr_
-// file-name prefix, which internal/fuzz's fingerprint normalizer strips).
-// Lines that exist only in instrumented form (label unions, annotation
-// plumbing) appear here as comments or collapsed plain statements.
+// internal/targets/pclhtplain/pclht.go is the source: no rt.Thread hooks,
+// no taint labels. internal/targets/pclht/pclht.go, the "pclht" target, is
+// generated from it and never edited by hand:
 //
-// When editing: keep pclht/pclht.go and this file in lockstep. The
-// shadow-diff test in internal/fuzz fails if the seeded-bug fingerprints
-// of the two targets ever diverge, and CI regenerates the shadow package
-// to catch drift between this source and the checked-in generated code.
-// The rewrite rules themselves are documented in internal/instr.
+//	go run ./cmd/pminstr -src internal/targets/pclhtplain -out internal/targets/pclht -pkg pclht
+//
+// pminstr keeps every line number, so a PM access sits on the same line in
+// both files, and recordings and bug fingerprints name those lines (e.g.
+// pclht.go:334): never move one. Comments and collapsed statements pad the
+// places where the instrumented form needs more lines than the plain one.
+
 package pclhtplain
 
 import (
@@ -36,8 +36,8 @@ import (
 	//
 )
 
-// Registration lives in the shadow package's hand-written register.go —
-// pminstr output carries no init — so regeneration never re-registers
+// Registration lives in the hand-written internal/targets/pclht/register.go:
+// pminstr output carries no init, so regeneration never registers twice
 // (targets.Register panics on duplicates).
 
 const (
@@ -78,8 +78,8 @@ type HT struct {
 // New creates an unopened instance.
 func New() *HT { return &HT{} }
 
-// Name implements targets.Target (the generated shadow is "pclht-gen").
-func (h *HT) Name() string { return "pclht-gen" }
+// Name implements targets.Target.
+func (h *HT) Name() string { return "pclht" }
 
 // PoolSize implements targets.Target.
 func (h *HT) PoolSize() uint64 { return 512 << 10 }
