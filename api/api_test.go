@@ -41,20 +41,28 @@ func TestSpecWireFormat(t *testing.T) {
 		Target: "pclht", Mode: "none", Workers: 2, Threads: 1,
 		MaxExecs: 10, Duration: time.Second, Seed: 7, KeySpace: 8,
 		OpsPerSeed: 4, MaxCrashStates: 2, InlineValidation: true,
-		EADR: true, NoCheckpoints: true, Artifacts: true, ArtifactsAll: true,
+		Protocol: true, EADR: true, NoCheckpoints: true, Artifacts: true,
+		ArtifactsAll: true, TraceSample: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{
+	fields := []string{
 		`"target":"pclht"`, `"mode":"none"`, `"workers":2`, `"threads":1`,
 		`"max_execs":10`, fmt.Sprintf(`"duration_ns":%d`, time.Second),
-		`"seed":7`, `"key_space":8`, `"ops_per_seed":4`,
+		`"seed":7`, `"key_space":8`, `"ops_per_seed":4`, `"protocol":true`,
 		`"max_crash_states":2`, `"inline_validation":true`, `"eadr":true`,
 		`"no_checkpoints":true`, `"artifacts":true`, `"artifacts_all":true`,
-	} {
+		`"trace_sample":3`,
+	}
+	for _, field := range fields {
 		if !strings.Contains(string(raw), field) {
 			t.Errorf("spec wire form missing %s: %s", field, raw)
 		}
+	}
+	// Every field set, in declaration order: the whole document is pinned
+	// byte for byte, so an added or reordered field shows up here too.
+	if want := "{" + strings.Join(fields, ",") + "}"; string(raw) != want {
+		t.Errorf("spec wire form changed:\n got %s\nwant %s", raw, want)
 	}
 }
