@@ -89,12 +89,12 @@ func (s State) Terminal() bool {
 
 // CampaignSpec is the submit request: what to fuzz and with which budget.
 // Zero values select the engine's evaluation defaults (the same defaults the
-// functional options leave in place), except Workers, which pmraced defaults
-// to 1 so a spec's cost against the shared worker budget is explicit.
+// functional options leave in place).
 type CampaignSpec struct {
 	// Target is the registered PM system to fuzz. Required.
 	Target string `json:"target"`
-	// Mode selects exploration: "pmrace" (default), "delay" or "none".
+	// Mode selects exploration: "pmrace" (default; alias "pmaware"),
+	// "delay" or "none", in any case.
 	Mode string `json:"mode,omitempty"`
 	// Workers is the number of fuzzing workers, charged against the
 	// server's worker budget for the campaign's lifetime (default 1).

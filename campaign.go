@@ -127,6 +127,9 @@ func NewCampaign(ctx context.Context, target string, options ...CampaignOption) 
 	for _, o := range options {
 		o(&cfg)
 	}
+	if cfg.err != nil {
+		return nil, cfg.err
+	}
 	fz, err := fuzz.New(target, cfg.opts)
 	if err != nil {
 		return nil, err
@@ -134,7 +137,7 @@ func NewCampaign(ctx context.Context, target string, options ...CampaignOption) 
 
 	em := obs.NewEmitter(cfg.sinks...)
 	if cfg.progress != nil {
-		em.AddSink(obs.NewProgressSink(cfg.progress, cfg.progressInterval, fz.Snapshot))
+		em.AddSink(obs.NewProgressSink(cfg.progress, 0, fz.Snapshot))
 	}
 	events := em.Subscribe(cfg.eventBuf)
 	fz.SetEmitter(em)
@@ -195,6 +198,10 @@ func (c *Campaign) WriteTrace(w io.Writer) error {
 	}
 	return c.tr.WriteChrome(w)
 }
+
+// Options returns the engine configuration the campaign runs with: every
+// option applied and every unset knob resolved to its default.
+func (c *Campaign) Options() Options { return c.fz.Options() }
 
 // HTTPAddr returns the bound address of the campaign's introspection server
 // (see WithHTTPAddr), or "" when none was requested.

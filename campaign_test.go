@@ -7,10 +7,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
 	pmrace "github.com/pmrace-go/pmrace"
+	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/internal/obs"
 )
 
@@ -245,11 +247,14 @@ func TestCampaignJSONLTrace(t *testing.T) {
 	}
 }
 
-// TestWithOptionsCompat keeps the deprecated struct escape hatch working for
-// configurations assembled before the functional-options API.
-func TestWithOptionsCompat(t *testing.T) {
+// TestWithSpecComposes: WithSpec sets only the knobs a campaign spec
+// carries, so options before and after it compose, it ignores the spec's
+// Target, and a mode outside the shared vocabulary fails NewCampaign.
+func TestWithSpecComposes(t *testing.T) {
 	c, err := pmrace.NewCampaign(context.Background(), "pclht",
-		pmrace.WithOptions(pmrace.Options{MaxExecs: 8, Workers: 2, Seed: 2}))
+		pmrace.WithValidationWorkers(3),
+		pmrace.WithSpec(api.CampaignSpec{Target: "memcached", Mode: "None", MaxExecs: 8, Workers: 2, Seed: 2}),
+		pmrace.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +262,18 @@ func TestWithOptionsCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Execs < 8 {
-		t.Fatalf("campaign ran %d executions, want >= 8", res.Execs)
+	o := c.Options()
+	if o.ValidationWorkers != 3 || o.Workers != 1 || o.Mode != pmrace.ModeNone || o.MaxExecs != 8 || o.Seed != 2 {
+		t.Fatalf("options did not compose around WithSpec: %+v", o)
+	}
+	if res.Target != "pclht" || res.Execs < 8 {
+		t.Fatalf("campaign ran %d executions on %q, want >= 8 on pclht", res.Execs, res.Target)
+	}
+
+	_, err = pmrace.NewCampaign(context.Background(), "pclht",
+		pmrace.WithSpec(api.CampaignSpec{Mode: "chaotic"}))
+	if err == nil || !strings.Contains(err.Error(), `unknown mode "chaotic"`) {
+		t.Fatalf("bad spec mode: err = %v, want unknown mode", err)
 	}
 }
 

@@ -36,148 +36,156 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	pmrace "github.com/pmrace-go/pmrace"
+	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/internal/core"
+	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/site"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// specFlags registers a flag for every api.CampaignSpec field except
+// Artifacts, whose flag means a directory locally and a bool on submit.
+// Local runs and `pmrace submit` share it, and the defaults are the
+// engine's own (fuzz.Defaults), so a flag means the same thing, and has the
+// same default, on both surfaces.
+func specFlags(fs *flag.FlagSet) *api.CampaignSpec {
+	d := fuzz.Defaults()
+	s := new(api.CampaignSpec)
+	fs.StringVar(&s.Target, "target", "pclht", "target system to fuzz")
+	fs.StringVar(&s.Mode, "mode", "", "exploration: pmrace | delay | none (empty: pmrace)")
+	fs.IntVar(&s.Workers, "workers", d.Workers, "concurrent fuzzing workers (on pmraced, charged against the server's worker budget)")
+	fs.IntVar(&s.Threads, "threads", d.Threads, "driver threads per execution")
+	fs.IntVar(&s.MaxExecs, "execs", d.MaxExecs, "execution budget")
+	fs.DurationVar(&s.Duration, "duration", d.Duration, "wall-clock budget")
+	fs.Int64Var(&s.Seed, "seed", d.Seed, "random seed")
+	fs.IntVar(&s.KeySpace, "key-space", d.KeySpace, "workload key-space size")
+	fs.IntVar(&s.OpsPerSeed, "ops-per-seed", d.OpsPerSeed, "operations per generated seed")
+	fs.BoolVar(&s.Protocol, "proto", d.Protocol, "fuzz through memcached text-protocol byte streams instead of synthetic op vectors")
+	fs.IntVar(&s.MaxCrashStates, "max-crash-states", d.MaxCrashStates, "crash states validated per finding (1 = the paper's single adversarial image)")
+	fs.BoolVar(&s.InlineValidation, "inline-validation", d.InlineValidation, "validate findings on the discovering worker instead of the asynchronous pool")
+	fs.BoolVar(&s.EADR, "eadr", d.EADR, "model battery-backed caches (stores durable at visibility)")
+	fs.BoolVar(&s.NoCheckpoints, "no-checkpoints", d.NoCheckpoints, "disable in-memory pool checkpoints")
+	fs.BoolVar(&s.ArtifactsAll, "artifacts-all", d.ArtifactAll, "with -artifacts: also bundle validated/whitelisted false positives")
+	fs.IntVar(&s.TraceSample, "trace-sample", 0, "span sampling: N>0 traces every Nth execution, negative disables tracing, 0 keeps the default (locally off unless -trace, then 8; pmraced: the server's rate)")
+	return s
+}
+
+// localFlags are a local campaign's flags: the shared spec flags plus the
+// ones that only make sense in-process.
+type localFlags struct {
+	spec                                                  *api.CampaignSpec
+	list, trace, jsonOut, progress, verbose               *bool
+	corpus, replay, artifact, artifacts, http, aliasHints *string
+	valWorkers                                            *int
+	valWallTimeout                                        *time.Duration
+}
+
+func newLocalFlags(stderr io.Writer) (*flag.FlagSet, *localFlags) {
+	d := fuzz.Defaults()
+	fs := flag.NewFlagSet("pmrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs, &localFlags{
+		spec:           specFlags(fs),
+		list:           fs.Bool("list", false, "list registered targets and exit"),
+		corpus:         fs.String("corpus", "", "seed-corpus directory (loaded at start, improving seeds saved back)"),
+		replay:         fs.String("replay", "", "replay one saved .seed file against the target and exit"),
+		artifact:       fs.String("artifact", "", "replay one forensic bug bundle directory and exit (0 = reproduced)"),
+		artifacts:      fs.String("artifacts", "", "write a forensic bundle per confirmed bug into this directory"),
+		http:           fs.String("http", "", "serve live introspection (/metrics /status /events /trace /healthz /debug/pprof) on this address"),
+		trace:          fs.Bool("trace", false, "record a span timeline (flight recorder + Chrome trace-event export on /trace)"),
+		jsonOut:        fs.Bool("json", false, "stream the event trace as JSONL to stdout (summary goes to stderr)"),
+		progress:       fs.Bool("progress", false, "render a 1 Hz status line while fuzzing"),
+		verbose:        fs.Bool("v", false, "print full per-inconsistency reports"),
+		aliasHints:     fs.String("alias-hints", "", "pmvet alias-pair report (pmvet -alias out.json) used to prioritize the interleaving queue"),
+		valWorkers:     fs.Int("validate-workers", d.ValidationWorkers, "asynchronous post-failure validation workers"),
+		valWallTimeout: fs.Duration("validate-wall-timeout", d.ValidationWallTimeout, "wall-clock bound per recovery run in post-failure validation"),
+	}
+}
 
 // run is main with an exit code: 0 clean campaign, 1 confirmed bugs,
-// 2 usage/runtime error.
-func run() int {
-	// The pmraced subcommands (submit/status/cancel/logs) drive a remote
-	// control plane; everything else is the local flag CLI.
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
+// 2 usage/runtime error. args excludes the program name.
+func run(args []string, stdout, stderr io.Writer) int {
+	// The pmraced subcommands (submit/status/cancel/logs/trace) drive a
+	// remote control plane; everything else is the local flag CLI.
+	if len(args) > 0 {
+		switch args[0] {
 		case "submit", "status", "cancel", "logs", "trace":
-			return runRemote(os.Args[1], os.Args[2:])
+			return runRemote(args[0], args[1:], stdout, stderr)
 		}
 	}
-	var (
-		list      = flag.Bool("list", false, "list registered targets and exit")
-		target    = flag.String("target", "pclht", "target system to fuzz")
-		execs     = flag.Int("execs", 120, "execution budget")
-		duration  = flag.Duration("duration", 2*time.Minute, "wall-clock budget")
-		workers   = flag.Int("workers", 4, "concurrent fuzzing workers")
-		threads   = flag.Int("threads", 4, "driver threads per execution")
-		seed      = flag.Int64("seed", 1, "random seed")
-		mode      = flag.String("mode", "pmrace", "exploration: pmrace | delay | none")
-		proto     = flag.Bool("proto", false, "fuzz through memcached text-protocol byte streams instead of synthetic op vectors")
-		noCP      = flag.Bool("no-checkpoints", false, "disable in-memory pool checkpoints")
-		eadr      = flag.Bool("eadr", false, "model battery-backed caches (stores durable at visibility)")
-		corpus    = flag.String("corpus", "", "seed-corpus directory (loaded at start, improving seeds saved back)")
-		replay    = flag.String("replay", "", "replay one saved .seed file against the target and exit")
-		artifact  = flag.String("artifact", "", "replay one forensic bug bundle directory and exit (0 = reproduced)")
-		artifacts = flag.String("artifacts", "", "write a forensic bundle per confirmed bug into this directory")
-		artAll    = flag.Bool("artifacts-all", false, "with -artifacts: also bundle validated/whitelisted false positives")
-		httpAddr  = flag.String("http", "", "serve live introspection (/metrics /status /events /trace /healthz /debug/pprof) on this address")
-		traceFlag = flag.Bool("trace", false, "record a span timeline (flight recorder + Chrome trace-event export on /trace)")
-		traceSmpl = flag.Int("trace-sample", 0, "with -trace: record per-exec spans for every Nth execution (0 = default 8)")
-		jsonOut   = flag.Bool("json", false, "stream the event trace as JSONL to stdout (summary goes to stderr)")
-		progress  = flag.Bool("progress", false, "render a 1 Hz status line while fuzzing")
-		verbose   = flag.Bool("v", false, "print full per-inconsistency reports")
+	fs, f := newLocalFlags(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	spec := f.spec
 
-		aliasHints     = flag.String("alias-hints", "", "pmvet alias-pair report (pmvet -alias out.json) used to prioritize the interleaving queue")
-		maxCrashStates = flag.Int("max-crash-states", 1, "crash states validated per finding (1 = the paper's single adversarial image)")
-		valWorkers     = flag.Int("validate-workers", 2, "asynchronous post-failure validation workers")
-		valWallTimeout = flag.Duration("validate-wall-timeout", 2*time.Second, "wall-clock bound per recovery run in post-failure validation")
-	)
-	flag.Parse()
-
-	if *list {
-		fmt.Println("registered targets:")
+	if *f.list {
+		fmt.Fprintln(stdout, "registered targets:")
 		for _, n := range pmrace.Targets() {
-			fmt.Println("  " + n)
+			fmt.Fprintln(stdout, "  "+n)
 		}
 		return 0
 	}
 
-	if *artifact != "" {
-		return replayArtifact(*artifact, *target)
+	if *f.artifact != "" {
+		return replayArtifact(stdout, stderr, *f.artifact, spec.Target)
 	}
 
-	if *replay != "" {
-		if err := replaySeed(*target, *replay, *threads); err != nil {
-			fmt.Fprintf(os.Stderr, "pmrace: replay: %v\n", err)
+	if *f.replay != "" {
+		if err := replaySeed(stdout, spec.Target, *f.replay, spec.Threads); err != nil {
+			fmt.Fprintf(stderr, "pmrace: replay: %v\n", err)
 			return 2
 		}
 		return 0
 	}
 
-	var explore pmrace.ExploreMode
-	switch strings.ToLower(*mode) {
-	case "pmrace":
-		explore = pmrace.ModePMAware
-	case "delay":
-		explore = pmrace.ModeDelayInj
-	case "none":
-		explore = pmrace.ModeNone
-	default:
-		fmt.Fprintf(os.Stderr, "pmrace: unknown mode %q\n", *mode)
-		return 2
+	var options []pmrace.CampaignOption
+	if *f.trace {
+		// Before WithSpec, so an explicit -trace-sample overrides the rate.
+		options = append(options, pmrace.WithTracing(0))
 	}
-
-	options := []pmrace.CampaignOption{
-		pmrace.WithBudget(*execs, *duration),
-		pmrace.WithWorkers(*workers),
-		pmrace.WithThreads(*threads),
-		pmrace.WithSeed(*seed),
-		pmrace.WithMode(explore),
-		pmrace.WithCorpusDir(*corpus),
-		pmrace.WithMaxCrashStates(*maxCrashStates),
-		pmrace.WithValidationWorkers(*valWorkers),
-		pmrace.WithValidationWallTimeout(*valWallTimeout),
-	}
-	if *aliasHints != "" {
-		hints, err := pmrace.LoadAliasHints(*aliasHints)
+	options = append(options,
+		pmrace.WithSpec(*spec),
+		pmrace.WithCorpusDir(*f.corpus),
+		pmrace.WithValidationWorkers(*f.valWorkers),
+		pmrace.WithValidationWallTimeout(*f.valWallTimeout),
+	)
+	if *f.aliasHints != "" {
+		hints, err := pmrace.LoadAliasHints(*f.aliasHints)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
+			fmt.Fprintf(stderr, "pmrace: %v\n", err)
 			return 2
 		}
 		options = append(options, pmrace.WithAliasHints(hints))
 	}
-	if *proto {
-		options = append(options, pmrace.WithProtocolTraffic())
+	if *f.artifacts != "" {
+		options = append(options, pmrace.WithArtifacts(*f.artifacts))
 	}
-	if *noCP {
-		options = append(options, pmrace.WithoutCheckpoints())
-	}
-	if *eadr {
-		options = append(options, pmrace.WithEADR())
-	}
-	if *artifacts != "" {
-		options = append(options, pmrace.WithArtifacts(*artifacts))
-		if *artAll {
-			options = append(options, pmrace.WithAllArtifacts())
-		}
-	} else if *artAll {
-		fmt.Fprintln(os.Stderr, "pmrace: -artifacts-all requires -artifacts")
-		return 2
-	}
-	if *httpAddr != "" {
-		options = append(options, pmrace.WithHTTPAddr(*httpAddr))
-	}
-	if *traceFlag || *traceSmpl > 0 {
-		options = append(options, pmrace.WithTracing(*traceSmpl))
+	if *f.http != "" {
+		options = append(options, pmrace.WithHTTPAddr(*f.http))
 	}
 	// The human-readable stream: stdout normally, stderr when stdout
 	// carries the JSONL trace.
-	out := io.Writer(os.Stdout)
-	if *jsonOut {
-		out = os.Stderr
-		options = append(options, pmrace.WithJSONTrace(os.Stdout))
+	out := stdout
+	if *f.jsonOut {
+		out = stderr
+		options = append(options, pmrace.WithJSONTrace(stdout))
 	}
-	if *progress {
+	if *f.progress {
 		options = append(options, pmrace.WithProgress(out))
 	}
 
@@ -186,13 +194,14 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Fprintf(out, "fuzzing %s (%s exploration, %d workers, budget %d execs / %s)\n",
-		*target, explore, *workers, *execs, *duration)
-	c, err := pmrace.NewCampaign(ctx, *target, options...)
+	c, err := pmrace.NewCampaign(ctx, spec.Target, options...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: %v\n", err)
 		return 2
 	}
+	opts := c.Options()
+	fmt.Fprintf(out, "fuzzing %s (%s exploration, %d workers, budget %d execs / %s)\n",
+		spec.Target, opts.Mode, opts.Workers, opts.MaxExecs, opts.Duration)
 	if addr := c.HTTPAddr(); addr != "" {
 		fmt.Fprintf(out, "introspection: http://%s/status\n", addr)
 	}
@@ -202,7 +211,7 @@ func run() int {
 	}
 	res, err := c.Wait()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: %v\n", err)
 		return 2
 	}
 	if ctx.Err() != nil {
@@ -225,7 +234,7 @@ func run() int {
 		fmt.Fprintf(out, "  [Other] %s — %s: %s\n", site.Lookup(o.Site), o.Kind, o.Description)
 	}
 
-	if *verbose {
+	if *f.verbose {
 		fmt.Fprintln(out, "\ndetailed reports:")
 		for _, j := range res.DB.Inconsistencies() {
 			fmt.Fprintln(out, core.FormatInconsistency(j))

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -21,30 +22,31 @@ import (
 	"github.com/pmrace-go/pmrace/internal/obs"
 )
 
-// runRemote dispatches the pmraced subcommands. cmd is os.Args[1], args the
-// flags after it. Exit codes match the local runs: 0 clean, 1 the campaign
-// confirmed bugs, 2 usage/transport error.
-func runRemote(cmd string, args []string) int {
+// runRemote dispatches the pmraced subcommands. cmd is the first argument,
+// args the flags after it. Exit codes match the local runs: 0 clean, 1 the
+// campaign confirmed bugs, 2 usage/transport error.
+func runRemote(cmd string, args []string, stdout, stderr io.Writer) int {
 	switch cmd {
 	case "submit":
-		return runSubmit(args)
+		return runSubmit(args, stdout, stderr)
 	case "status":
-		return runStatus(args)
+		return runStatus(args, stdout, stderr)
 	case "cancel":
-		return runCancel(args)
+		return runCancel(args, stdout, stderr)
 	case "logs":
-		return runLogs(args)
+		return runLogs(args, stdout, stderr)
 	case "trace":
-		return runTrace(args)
+		return runTrace(args, stdout, stderr)
 	default:
-		fmt.Fprintf(os.Stderr, "pmrace: unknown command %q (want submit, status, cancel, logs or trace)\n", cmd)
+		fmt.Fprintf(stderr, "pmrace: unknown command %q (want submit, status, cancel, logs or trace)\n", cmd)
 		return 2
 	}
 }
 
 // remoteFlags declares the flags every subcommand shares.
-func remoteFlags(name string) (*flag.FlagSet, *string) {
-	fs := newFlagSet(name)
+func remoteFlags(name string, stderr io.Writer) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet("pmrace "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	server := fs.String("server", "http://127.0.0.1:7762", "pmraced base URL")
 	return fs, server
 }
@@ -60,57 +62,55 @@ func submitErrorLine(err error) string {
 	return fmt.Sprintf("pmrace: submit: %v", err)
 }
 
-func runSubmit(args []string) int {
-	fs, server := remoteFlags("submit")
-	var (
-		target    = fs.String("target", "pclht", "target system to fuzz")
-		mode      = fs.String("mode", "", "exploration: pmrace | delay | none (server default: pmrace)")
-		workers   = fs.Int("workers", 1, "fuzzing workers, charged against the server's budget")
-		threads   = fs.Int("threads", 0, "driver threads per execution (0 = server default)")
-		execs     = fs.Int("execs", 0, "execution budget (0 = server default)")
-		duration  = fs.Duration("duration", 0, "wall-clock budget (0 = server default)")
-		seed      = fs.Int64("seed", 0, "random seed (0 = unseeded default)")
-		proto     = fs.Bool("proto", false, "fuzz through memcached text-protocol byte streams instead of synthetic op vectors")
-		artifacts = fs.Bool("artifacts", false, "write a forensic bundle per confirmed bug (fetch via the artifacts endpoints)")
-		artAll    = fs.Bool("artifacts-all", false, "with -artifacts: also bundle validated/whitelisted false positives")
-		traceSmpl = fs.Int("trace-sample", 0, "span-sampling rate: 0 = server default, N samples every Nth exec, negative disables tracing")
-		wait      = fs.Bool("wait", false, "block until the campaign is terminal and print its final document")
-		jsonOut   = fs.Bool("json", false, "print campaign documents as JSON")
-	)
+// submitFlags are pmrace submit's flags: the shared spec flags plus the
+// remote-only ones.
+type submitFlags struct {
+	spec          *api.CampaignSpec
+	server        *string
+	wait, jsonOut *bool
+}
+
+func newSubmitFlags(stderr io.Writer) (*flag.FlagSet, *submitFlags) {
+	fs, server := remoteFlags("submit", stderr)
+	f := &submitFlags{spec: specFlags(fs), server: server}
+	fs.BoolVar(&f.spec.Artifacts, "artifacts", false, "write a forensic bundle per confirmed bug (fetch via the artifacts endpoints)")
+	f.wait = fs.Bool("wait", false, "block until the campaign is terminal and print its final document")
+	f.jsonOut = fs.Bool("json", false, "print campaign documents as JSON")
+	return fs, f
+}
+
+func runSubmit(args []string, stdout, stderr io.Writer) int {
+	fs, f := newSubmitFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	cl := client.New(*server)
+	cl := client.New(*f.server)
 	ctx, stop := signalContext()
 	defer stop()
 
-	doc, err := cl.Submit(ctx, api.CampaignSpec{
-		Target: *target, Mode: *mode, Workers: *workers, Threads: *threads,
-		MaxExecs: *execs, Duration: *duration, Seed: *seed, Protocol: *proto,
-		Artifacts: *artifacts, ArtifactsAll: *artAll, TraceSample: *traceSmpl,
-	})
+	doc, err := cl.Submit(ctx, *f.spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, submitErrorLine(err))
+		fmt.Fprintln(stderr, submitErrorLine(err))
 		return 2
 	}
-	if !*wait {
-		printCampaign(doc, *jsonOut)
+	if !*f.wait {
+		printCampaign(stdout, doc, *f.jsonOut)
 		return 0
 	}
 	final, err := cl.Wait(ctx, doc.ID, 0)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: wait: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: wait: %v\n", err)
 		return 2
 	}
-	printCampaign(final, *jsonOut)
+	printCampaign(stdout, final, *f.jsonOut)
 	if len(final.Bugs) > 0 {
 		return 1
 	}
 	return 0
 }
 
-func runStatus(args []string) int {
-	fs, server := remoteFlags("status")
+func runStatus(args []string, stdout, stderr io.Writer) int {
+	fs, server := remoteFlags("status", stderr)
 	id := fs.String("id", "", "campaign ID (empty: list all campaigns and the server document)")
 	jsonOut := fs.Bool("json", false, "print documents as JSON")
 	if err := fs.Parse(args); err != nil {
@@ -123,39 +123,39 @@ func runStatus(args []string) int {
 	if *id != "" {
 		doc, err := cl.Get(ctx, *id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmrace: status: %v\n", err)
+			fmt.Fprintf(stderr, "pmrace: status: %v\n", err)
 			return 2
 		}
-		printCampaign(doc, *jsonOut)
+		printCampaign(stdout, doc, *jsonOut)
 		return 0
 	}
 	info, err := cl.Info(ctx)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: status: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: status: %v\n", err)
 		return 2
 	}
 	list, err := cl.List(ctx)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: status: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: status: %v\n", err)
 		return 2
 	}
 	if *jsonOut {
-		printJSON(struct {
+		printJSON(stdout, struct {
 			Server    *api.ServerInfo `json:"server"`
 			Campaigns []api.Campaign  `json:"campaigns"`
 		}{info, list})
 		return 0
 	}
-	fmt.Printf("pmraced %s: %d/%d workers in use, %d campaigns, draining=%v\n",
+	fmt.Fprintf(stdout, "pmraced %s: %d/%d workers in use, %d campaigns, draining=%v\n",
 		info.Version, info.WorkersInUse, info.WorkerBudget, info.Campaigns, info.Draining)
 	for i := range list {
-		printCampaign(&list[i], false)
+		printCampaign(stdout, &list[i], false)
 	}
 	return 0
 }
 
-func runCancel(args []string) int {
-	fs, server := remoteFlags("cancel")
+func runCancel(args []string, stdout, stderr io.Writer) int {
+	fs, server := remoteFlags("cancel", stderr)
 	id := fs.String("id", "", "campaign ID (required)")
 	wait := fs.Bool("wait", false, "block until the drain settles and print the final document")
 	jsonOut := fs.Bool("json", false, "print campaign documents as JSON")
@@ -163,7 +163,7 @@ func runCancel(args []string) int {
 		return 2
 	}
 	if *id == "" {
-		fmt.Fprintln(os.Stderr, "pmrace: cancel: -id is required")
+		fmt.Fprintln(stderr, "pmrace: cancel: -id is required")
 		return 2
 	}
 	cl := client.New(*server)
@@ -172,28 +172,28 @@ func runCancel(args []string) int {
 
 	doc, err := cl.Cancel(ctx, *id)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: cancel: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: cancel: %v\n", err)
 		return 2
 	}
 	if *wait && !doc.State.Terminal() {
 		if doc, err = cl.Wait(ctx, *id, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "pmrace: cancel: %v\n", err)
+			fmt.Fprintf(stderr, "pmrace: cancel: %v\n", err)
 			return 2
 		}
 	}
-	printCampaign(doc, *jsonOut)
+	printCampaign(stdout, doc, *jsonOut)
 	return 0
 }
 
-func runLogs(args []string) int {
-	fs, server := remoteFlags("logs")
+func runLogs(args []string, stdout, stderr io.Writer) int {
+	fs, server := remoteFlags("logs", stderr)
 	id := fs.String("id", "", "campaign ID (required)")
 	jsonOut := fs.Bool("json", false, "print the raw JSONL envelopes instead of human lines")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *id == "" {
-		fmt.Fprintln(os.Stderr, "pmrace: logs: -id is required")
+		fmt.Fprintln(stderr, "pmrace: logs: -id is required")
 		return 2
 	}
 	cl := client.New(*server)
@@ -202,29 +202,29 @@ func runLogs(args []string) int {
 
 	events, errFn, err := cl.Events(ctx, *id)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: logs: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: logs: %v\n", err)
 		return 2
 	}
 	for ev := range events {
 		if *jsonOut {
-			printJSON(struct {
+			printJSON(stdout, struct {
 				Kind obs.Kind `json:"kind"`
 				Data any      `json:"data"`
 			}{ev.Kind(), ev})
 			continue
 		}
-		fmt.Printf("%-22s %s\n", ev.Kind(), obs.Fingerprint(ev))
+		fmt.Fprintf(stdout, "%-22s %s\n", ev.Kind(), obs.Fingerprint(ev))
 	}
 	if err := errFn(); err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: logs: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: logs: %v\n", err)
 		return 2
 	}
 	return 0
 }
 
-func printCampaign(c *api.Campaign, asJSON bool) {
+func printCampaign(w io.Writer, c *api.Campaign, asJSON bool) {
 	if asJSON {
-		printJSON(c)
+		printJSON(w, c)
 		return
 	}
 	line := fmt.Sprintf("%s  %-10s %-9s execs=%d bugs=%d", c.ID, c.Spec.Target, c.State,
@@ -232,18 +232,18 @@ func printCampaign(c *api.Campaign, asJSON bool) {
 	if c.Error != "" {
 		line += "  error=" + c.Error
 	}
-	fmt.Println(line)
+	fmt.Fprintln(w, line)
 	for _, b := range c.Bugs {
 		dup := ""
 		if b.Duplicate {
 			dup = fmt.Sprintf("  (duplicate of %s's finding)", b.FirstReportedBy)
 		}
-		fmt.Printf("    [%s] %s — %s%s\n", b.Kind, b.Site, b.Summary, dup)
+		fmt.Fprintf(w, "    [%s] %s — %s%s\n", b.Kind, b.Site, b.Summary, dup)
 	}
 }
 
-func printJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+func printJSON(w io.Writer, v any) {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
@@ -252,10 +252,4 @@ func printJSON(v any) {
 // promptly.
 func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-}
-
-// newFlagSet gives each subcommand its own flag namespace with the standard
-// continue-on-error-reported behavior.
-func newFlagSet(name string) *flag.FlagSet {
-	return flag.NewFlagSet("pmrace "+name, flag.ContinueOnError)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -17,10 +18,10 @@ import (
 // reproduced finding carries the fingerprint recorded in bug.json. The
 // bundle names its own target; the -target flag only overrides a bundle
 // missing one. Exit codes: 0 reproduced, 1 not reproduced, 2 error.
-func replayArtifact(dir, fallbackTarget string) int {
+func replayArtifact(stdout, stderr io.Writer, dir, fallbackTarget string) int {
 	b, err := artifact.Load(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: artifact: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: artifact: %v\n", err)
 		return 2
 	}
 	targetName := b.Bug.Target
@@ -28,7 +29,7 @@ func replayArtifact(dir, fallbackTarget string) int {
 		targetName = fallbackTarget
 	}
 	if _, err := targets.New(targetName); err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: artifact: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: artifact: %v\n", err)
 		return 2
 	}
 	factory := func() targets.Target {
@@ -38,20 +39,20 @@ func replayArtifact(dir, fallbackTarget string) int {
 		}
 		return t
 	}
-	fmt.Printf("replaying artifact %s against %s\n", dir, targetName)
-	fmt.Printf("  recorded: [%s/%s] %s\n", b.Bug.Kind, b.Bug.Status, b.Bug.Fingerprint)
+	fmt.Fprintf(stdout, "replaying artifact %s against %s\n", dir, targetName)
+	fmt.Fprintf(stdout, "  recorded: [%s/%s] %s\n", b.Bug.Kind, b.Bug.Status, b.Bug.Fingerprint)
 	r, err := fuzz.ReplayArtifact(factory, b, 8)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: artifact: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: artifact: %v\n", err)
 		return 2
 	}
 	if r.Reproduced {
-		fmt.Printf("  reproduced after %d execution(s) via %s\n", r.Execs, r.Strategy)
+		fmt.Fprintf(stdout, "  reproduced after %d execution(s) via %s\n", r.Execs, r.Strategy)
 		return 0
 	}
-	fmt.Printf("  NOT reproduced in %d execution(s); findings observed:\n", r.Execs)
+	fmt.Fprintf(stdout, "  NOT reproduced in %d execution(s); findings observed:\n", r.Execs)
 	for _, fp := range r.Found {
-		fmt.Printf("    %s\n", fp)
+		fmt.Fprintf(stdout, "    %s\n", fp)
 	}
 	return 1
 }
@@ -61,7 +62,7 @@ func replayArtifact(dir, fallbackTarget string) int {
 // checkers report. It is the triage counterpart of the fuzzer: bug reports
 // carry the seed that found them (paper §4.1 step 6), and replay turns a
 // seed back into the detection.
-func replaySeed(targetName, path string, threads int) error {
+func replaySeed(stdout io.Writer, targetName, path string, threads int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading seed: %w", err)
@@ -87,19 +88,19 @@ func replaySeed(targetName, path string, threads int) error {
 	})
 
 	if seed.Proto != nil {
-		fmt.Printf("replaying %s (%d protocol commands over %d streams, %d threads) against %s\n",
+		fmt.Fprintf(stdout, "replaying %s (%d protocol commands over %d streams, %d threads) against %s\n",
 			path, seed.Size(), len(seed.Proto.Streams), threads, targetName)
 	} else {
-		fmt.Printf("replaying %s (%d ops, %d threads) against %s\n", path, len(seed.Ops), threads, targetName)
+		fmt.Fprintf(stdout, "replaying %s (%d ops, %d threads) against %s\n", path, len(seed.Ops), threads, targetName)
 	}
 	base, err := x.Run(seed, sched.None{})
 	if err != nil {
 		return err
 	}
-	reportExec("plain execution", base)
+	reportExec(stdout, "plain execution", base)
 
 	queue := sched.BuildQueue(base.Stats)
-	fmt.Printf("exploring %d sync-point entries\n", queue.Len())
+	fmt.Fprintf(stdout, "exploring %d sync-point entries\n", queue.Len())
 	for i := 0; ; i++ {
 		entry := queue.Pop()
 		if entry == nil {
@@ -111,29 +112,29 @@ func replaySeed(targetName, path string, threads int) error {
 			return err
 		}
 		if len(res.Inconsistencies) > 0 || len(res.Hangs) > 0 {
-			reportExec(fmt.Sprintf("entry %d (PM offset %#x)", i, entry.Addr), res)
+			reportExec(stdout, fmt.Sprintf("entry %d (PM offset %#x)", i, entry.Addr), res)
 		}
 	}
 	return nil
 }
 
-func reportExec(label string, res *fuzz.ExecResult) {
+func reportExec(w io.Writer, label string, res *fuzz.ExecResult) {
 	if len(res.Inconsistencies) == 0 && len(res.Hangs) == 0 {
-		fmt.Printf("%s: no findings (%d candidates)\n", label, len(res.Candidates))
+		fmt.Fprintf(w, "%s: no findings (%d candidates)\n", label, len(res.Candidates))
 		return
 	}
-	fmt.Printf("%s:\n", label)
+	fmt.Fprintf(w, "%s:\n", label)
 	for _, c := range res.Inconsistencies {
 		in := c.In
-		fmt.Printf("  [%s/%s] write %s -> read %s -> side effect %s\n",
+		fmt.Fprintf(w, "  [%s/%s] write %s -> read %s -> side effect %s\n",
 			in.Kind, in.Flow,
 			site.Lookup(site.ID(in.Event.WriteSite)), site.Lookup(site.ID(in.Event.ReadSite)),
 			site.Lookup(in.StoreSite))
 	}
 	for _, s := range res.Syncs {
-		fmt.Printf("  [Sync] %q updated at %s\n", s.Si.Var.Name, site.Lookup(s.Si.Site))
+		fmt.Fprintf(w, "  [Sync] %q updated at %s\n", s.Si.Var.Name, site.Lookup(s.Si.Site))
 	}
 	for _, h := range res.Hangs {
-		fmt.Printf("  [hang] thread %d at %s\n", h.Thread, h.Site)
+		fmt.Fprintf(w, "  [hang] thread %d at %s\n", h.Thread, h.Site)
 	}
 }

@@ -15,6 +15,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/pmrace-go/pmrace/client"
@@ -22,15 +23,15 @@ import (
 	"github.com/pmrace-go/pmrace/internal/obs"
 )
 
-func runTrace(args []string) int {
-	fs, server := remoteFlags("trace")
+func runTrace(args []string, stdout, stderr io.Writer) int {
+	fs, server := remoteFlags("trace", stderr)
 	out := fs.String("o", "", "write the trace to this file (default: stdout)")
 	check := fs.Bool("check", false, "validate the exported document's trace-event shape (exit 2 on violation)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "pmrace: trace: want exactly one argument — a campaign ID or an artifact-bundle directory")
+		fmt.Fprintln(stderr, "pmrace: trace: want exactly one argument — a campaign ID or an artifact-bundle directory")
 		return 2
 	}
 	arg := fs.Arg(0)
@@ -39,7 +40,7 @@ func runTrace(args []string) int {
 	if st, err := os.Stat(arg); err == nil && st.IsDir() {
 		raw, err = bundleTrace(arg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmrace: trace: %v\n", err)
+			fmt.Fprintf(stderr, "pmrace: trace: %v\n", err)
 			return 2
 		}
 	} else {
@@ -47,27 +48,27 @@ func runTrace(args []string) int {
 		defer stop()
 		raw, err = client.New(*server).Trace(ctx, arg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmrace: trace: %v\n", err)
+			fmt.Fprintf(stderr, "pmrace: trace: %v\n", err)
 			return 2
 		}
 	}
 
 	if *check {
 		if err := obs.ValidateChromeTrace(raw); err != nil {
-			fmt.Fprintf(os.Stderr, "pmrace: trace: invalid trace-event document: %v\n", err)
+			fmt.Fprintf(stderr, "pmrace: trace: invalid trace-event document: %v\n", err)
 			return 2
 		}
 	}
 	if *out == "" {
-		_, err := os.Stdout.Write(raw)
+		_, err := stdout.Write(raw)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmrace: trace: %v\n", err)
+			fmt.Fprintf(stderr, "pmrace: trace: %v\n", err)
 			return 2
 		}
 		return 0
 	}
 	if err := os.WriteFile(*out, raw, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: trace: %v\n", err)
+		fmt.Fprintf(stderr, "pmrace: trace: %v\n", err)
 		return 2
 	}
 	return 0

@@ -136,7 +136,7 @@ type Executor struct {
 // NewExecutor creates an executor for the target factory.
 func NewExecutor(factory targets.Factory, opts ExecOptions) *Executor {
 	if opts.HangTimeout <= 0 {
-		opts.HangTimeout = 80 * time.Millisecond
+		opts.HangTimeout = hangTimeout
 	}
 	if opts.MaxCrashStates <= 0 {
 		opts.MaxCrashStates = 1

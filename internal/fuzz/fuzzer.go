@@ -47,6 +47,13 @@ func (m ExploreMode) String() string {
 	}
 }
 
+// hangTimeout is the default spin-lock hang bound of campaign executions
+// and their post-failure validation (Options.HangTimeout,
+// ExecOptions.HangTimeout), simulation-scaled from the paper's timings. It
+// is shorter than rt.DefaultHangTimeout because a campaign pays it on every
+// hung execution.
+const hangTimeout = 80 * time.Millisecond
+
 // Options configure a fuzzing run. Zero values select the evaluation's
 // defaults (§6.1: 4 driver threads; simulation-scaled timings).
 type Options struct {
@@ -160,7 +167,7 @@ func (o Options) withDefaults() Options {
 		o.MaxInterleavingsPerSeed = 6
 	}
 	if o.HangTimeout <= 0 {
-		o.HangTimeout = 80 * time.Millisecond
+		o.HangTimeout = hangTimeout
 	}
 	if o.RedundantThreshold <= 0 {
 		o.RedundantThreshold = 100
@@ -361,6 +368,9 @@ func (f *Fuzzer) SetEmitter(em *obs.Emitter) {
 	f.gAlias = reg.Gauge(obs.MAliasCov)
 	f.hExecLat = reg.Histogram(obs.HExecLatency)
 }
+
+// Options returns the campaign's configuration with the defaults resolved.
+func (f *Fuzzer) Options() Options { return f.opts }
 
 // Emitter returns the campaign's observability emitter.
 func (f *Fuzzer) Emitter() *obs.Emitter { return f.em }

@@ -14,9 +14,9 @@ import (
 )
 
 // DefaultHangTimeout is the spin-lock hang bound used when Config leaves
-// HangTimeout zero. It is the single source of the default: the runtime and
-// post-failure validation both inherit it, so the two layers cannot disagree
-// about when a spinning thread counts as hung.
+// HangTimeout zero, and the one validate.Options falls back to. Campaigns
+// do not use it: internal/fuzz runs both its executions and their
+// post-failure validation with a shorter, simulation-scaled 80ms bound.
 const DefaultHangTimeout = 250 * time.Millisecond
 
 // Config configures an execution environment.

@@ -107,6 +107,10 @@ type campaign struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	artDir string
+
+	// workers is the resolved worker count the campaign holds of the
+	// shared budget while it runs.
+	workers int
 	// restored is the persisted final document of a campaign reloaded after
 	// a server restart. A restored campaign has no fuzzer, emitter, tracer
 	// or context — it exists to keep its record (and artifacts) readable —
@@ -182,46 +186,6 @@ func New(cfg Config) (*Supervisor, error) {
 // DataDir returns the resolved state directory.
 func (s *Supervisor) DataDir() string { return s.cfg.DataDir }
 
-// optionsFromSpec translates the wire spec into engine options. Workers
-// defaults to 1 — under a shared budget a spec's cost must be explicit —
-// while everything else keeps the engine's evaluation defaults.
-func optionsFromSpec(spec api.CampaignSpec) (fuzz.Options, error) {
-	var mode fuzz.ExploreMode
-	switch spec.Mode {
-	case "", "pmrace", "pmaware":
-		mode = fuzz.ModePMAware
-	case "delay":
-		mode = fuzz.ModeDelayInj
-	case "none":
-		mode = fuzz.ModeNone
-	default:
-		return fuzz.Options{}, &api.Error{
-			StatusCode: 400, Code: api.CodeBadRequest,
-			Message: fmt.Sprintf("unknown mode %q (want pmrace, delay or none)", spec.Mode),
-		}
-	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	return fuzz.Options{
-		Mode:             mode,
-		Workers:          workers,
-		Threads:          spec.Threads,
-		MaxExecs:         spec.MaxExecs,
-		Duration:         spec.Duration,
-		Seed:             spec.Seed,
-		KeySpace:         spec.KeySpace,
-		OpsPerSeed:       spec.OpsPerSeed,
-		Protocol:         spec.Protocol,
-		MaxCrashStates:   spec.MaxCrashStates,
-		InlineValidation: spec.InlineValidation,
-		EADR:             spec.EADR,
-		NoCheckpoints:    spec.NoCheckpoints,
-		ArtifactAll:      spec.ArtifactsAll,
-	}, nil
-}
-
 // Submit validates spec, creates the campaign (fuzzer + emitter live from
 // here on) and queues it for admission. It returns the campaign document in
 // its initial state — Pending, or already Running when the budget had
@@ -236,9 +200,9 @@ func (s *Supervisor) Submit(spec api.CampaignSpec) (api.Campaign, error) {
 			Message: fmt.Sprintf("unknown target %q (registered: %s)",
 				spec.Target, strings.Join(targets.Names(), ", "))}
 	}
-	opts, err := optionsFromSpec(spec)
+	opts, err := fuzz.OptionsFromSpec(spec)
 	if err != nil {
-		return api.Campaign{}, err
+		return api.Campaign{}, &api.Error{StatusCode: 400, Code: api.CodeBadRequest, Message: err.Error()}
 	}
 	if opts.Workers > s.cfg.WorkerBudget {
 		return api.Campaign{}, &api.Error{StatusCode: 400, Code: api.CodeBadRequest,
@@ -299,7 +263,8 @@ func (s *Supervisor) Submit(spec api.CampaignSpec) (api.Campaign, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &campaign{
-		id: id, spec: spec, fz: fz, em: em, tr: tr, ctx: ctx, cancel: cancel,
+		id: id, spec: spec, workers: opts.Workers,
+		fz: fz, em: em, tr: tr, ctx: ctx, cancel: cancel,
 		artDir: artDir, state: api.StatePending, created: time.Now(),
 		done: make(chan struct{}),
 	}
@@ -330,12 +295,11 @@ func (s *Supervisor) Submit(spec api.CampaignSpec) (api.Campaign, error) {
 func (s *Supervisor) admitLocked() {
 	for len(s.queue) > 0 {
 		c := s.queue[0]
-		w := workersOf(c)
-		if s.used+w > s.cfg.WorkerBudget {
+		if s.used+c.workers > s.cfg.WorkerBudget {
 			return
 		}
 		s.queue = s.queue[1:]
-		s.used += w
+		s.used += c.workers
 		c.mu.Lock()
 		c.state = api.StateRunning
 		c.started = time.Now()
@@ -344,13 +308,6 @@ func (s *Supervisor) admitLocked() {
 		s.wg.Add(1)
 		go s.run(c)
 	}
-}
-
-func workersOf(c *campaign) int {
-	if c.spec.Workers <= 0 {
-		return 1
-	}
-	return c.spec.Workers
 }
 
 // run executes one admitted campaign to completion, finalizes its document
@@ -382,7 +339,7 @@ func (s *Supervisor) run(c *campaign) {
 	s.persistCampaign(c)
 
 	s.mu.Lock()
-	s.used -= workersOf(c)
+	s.used -= c.workers
 	s.admitLocked()
 	s.mu.Unlock()
 

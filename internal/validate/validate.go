@@ -21,8 +21,8 @@ const DefaultWallTimeout = 2 * time.Second
 type Options struct {
 	// HangTimeout bounds spin-lock acquisition inside recovery; recovery
 	// that hangs on a never-released persistent lock confirms the bug.
-	// Zero selects rt.DefaultHangTimeout — the same default the fuzzing
-	// runtime uses, so the two layers cannot disagree.
+	// Zero selects rt.DefaultHangTimeout; campaigns pass their own
+	// fuzzing bound instead.
 	HangTimeout time.Duration
 	// WallTimeout bounds one recovery run's total wall-clock time. It
 	// catches hangs the spin-lock detector cannot see: uninstrumented

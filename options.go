@@ -4,34 +4,50 @@ import (
 	"io"
 	"time"
 
+	"github.com/pmrace-go/pmrace/api"
+	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/obs"
 )
 
 // CampaignOption configures a campaign created with NewCampaign. The
 // functional options cover the public surface; zero values select the
-// evaluation defaults, consolidated in one place (fuzz.Options
-// withDefaults), so documentation and behaviour cannot drift.
+// evaluation defaults, consolidated in one place (fuzz.Defaults), so
+// documentation and behaviour cannot drift.
 type CampaignOption func(*campaignConfig)
 
 type campaignConfig struct {
-	opts             Options
-	sinks            []obs.Sink
-	progress         io.Writer
-	progressInterval time.Duration
-	eventBuf         int
-	httpAddr         string
-	traceSample      int
+	opts        Options
+	sinks       []obs.Sink
+	progress    io.Writer
+	eventBuf    int
+	httpAddr    string
+	traceSample int
+	// err is a configuration error NewCampaign reports (an unparsable
+	// spec mode).
+	err error
 }
 
-// WithOptions replaces the whole legacy Options struct at once.
-//
-// Deprecated: every Options knob now has a dedicated functional option (see
-// the option table in README.md); compose those instead. WithOptions
-// remains only for configurations assembled as a struct before the
-// functional-options API, and it composes badly: it overwrites every knob
-// set by options that appear before it.
-func WithOptions(opts Options) CampaignOption {
-	return func(c *campaignConfig) { c.opts = opts }
+// WithSpec applies a campaign spec, the document pmraced accepts: it sets
+// every engine knob the spec carries and leaves the others as earlier
+// options set them, and options after it still override it. The spec's
+// Target and Artifacts are ignored; pass the target to NewCampaign and the
+// bundle directory to WithArtifacts. A positive TraceSample traces every
+// Nth execution, a negative one disables tracing, and zero keeps the
+// earlier setting. A mode other than pmrace, pmaware, delay or none (in
+// any case; empty is pmrace) fails NewCampaign.
+func WithSpec(spec api.CampaignSpec) CampaignOption {
+	return func(c *campaignConfig) {
+		if err := fuzz.ApplySpec(&c.opts, spec); err != nil {
+			c.err = err
+			return
+		}
+		switch {
+		case spec.TraceSample > 0:
+			c.traceSample = spec.TraceSample
+		case spec.TraceSample < 0:
+			c.traceSample = 0
+		}
+	}
 }
 
 // WithWorkers sets the number of concurrent fuzzing workers.
@@ -102,11 +118,6 @@ func WithoutCheckpoints() CampaignOption {
 	return func(c *campaignConfig) { c.opts.NoCheckpoints = true }
 }
 
-// WithMutator overrides the default operation mutator.
-func WithMutator(m Mutator) CampaignOption {
-	return func(c *campaignConfig) { c.opts.Mutator = m }
-}
-
 // WithWhitelist adds developer-specified benign patterns on top of the
 // default (mini-PMDK transactional allocation).
 func WithWhitelist(entries ...string) CampaignOption {
@@ -131,12 +142,6 @@ func WithJSONTrace(w io.Writer) CampaignOption {
 // bugs) to w while the campaign runs.
 func WithProgress(w io.Writer) CampaignOption {
 	return func(c *campaignConfig) { c.progress = w }
-}
-
-// WithProgressInterval adjusts the progress-line refresh interval (mostly
-// for tests; the default is one second).
-func WithProgressInterval(d time.Duration) CampaignOption {
-	return func(c *campaignConfig) { c.progressInterval = d }
 }
 
 // WithEventBuffer sets the Events() channel capacity (default 4096). When
@@ -168,44 +173,6 @@ func WithTracing(sampleN int) CampaignOption {
 		}
 		c.traceSample = sampleN
 	}
-}
-
-// WithHangTimeout bounds each thread's lock acquisition during pre-failure
-// execution; a thread exceeding it is declared hung (default 80ms,
-// simulation-scaled from the paper's timings).
-func WithHangTimeout(d time.Duration) CampaignOption {
-	return func(c *campaignConfig) { c.opts.HangTimeout = d }
-}
-
-// WithRedundantThreshold sets the dynamic-occurrence count above which a
-// redundant-store site is reported as an "Other" finding (default 100).
-func WithRedundantThreshold(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.RedundantThreshold = n }
-}
-
-// WithExecsPerInterleaving sets the execution-tier repetition count: how
-// many times each seed (and each scheduled interleaving) is executed
-// (default 2).
-func WithExecsPerInterleaving(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.ExecsPerInterleaving = n }
-}
-
-// WithMaxInterleavingsPerSeed bounds how many interleaving-tier queue
-// entries are scheduled per seed iteration (default 6).
-func WithMaxInterleavingsPerSeed(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.MaxInterleavingsPerSeed = n }
-}
-
-// WithoutInterleavingTier ablates interleaving-tier exploration ("w/o IE",
-// Figure 9).
-func WithoutInterleavingTier() CampaignOption {
-	return func(c *campaignConfig) { c.opts.DisableInterleavingTier = true }
-}
-
-// WithoutSeedTier ablates seed-tier evolution ("w/o SE", Figure 9): the
-// corpus never grows beyond the initial seeds.
-func WithoutSeedTier() CampaignOption {
-	return func(c *campaignConfig) { c.opts.DisableSeedTier = true }
 }
 
 // WithMaxCrashStates caps the crash states enumerated and validated per

@@ -46,24 +46,9 @@
 //	}
 //	res, _ := c.Wait()
 //
-// # Migrating from Fuzz
-//
-// The old blocking pmrace.Fuzz(target, opts) call has been removed; replace
-//
-//	res, err := pmrace.Fuzz("pclht", pmrace.Options{MaxExecs: 100, Workers: 8})
-//
-// with
-//
-//	c, err := pmrace.NewCampaign(ctx, "pclht",
-//		pmrace.WithBudget(100, 0), pmrace.WithWorkers(8))
-//	if err != nil { ... }
-//	res, err := c.Wait()
-//
-// and attach pmrace.WithJSONTrace / pmrace.WithProgress / pmrace.WithSink
-// for observability the old API could not offer. Campaigns can also run as
-// a service: cmd/pmraced schedules many concurrent campaigns over a shared
-// worker budget behind a versioned REST API (package api defines the wire
-// contract, package client consumes it).
+// Campaigns can also run as a service: cmd/pmraced schedules many
+// concurrent campaigns over a shared worker budget behind a versioned REST
+// API (package api defines the wire contract, package client consumes it).
 //
 // # Testing your own PM data structure
 //
@@ -104,8 +89,6 @@ type (
 	// ExploreMode selects PM-aware exploration, random delay injection,
 	// or no scheduling.
 	ExploreMode = fuzz.ExploreMode
-	// Mutator generates new seeds from a corpus.
-	Mutator = fuzz.Mutator
 	// AliasHint is one statically inferred load/store site pair from
 	// `pmvet -alias`, used to prioritize the interleaving queue.
 	AliasHint = fuzz.AliasHint
