@@ -180,6 +180,7 @@ func TestParseModeVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sup.Drain(context.Background())
 	ts := httptest.NewServer(sup.Handler())
 	defer ts.Close()
 	stderr.Reset()
@@ -205,10 +206,10 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunUsageErrors: a flag combination the engine rejects exits 2.
+// TestRunUsageErrors: flags that do not parse, or a combination the engine
+// rejects, exit 2. The unknown-mode case is in TestParseModeVocabulary.
 func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-mode", "chaotic"},
 		{"-artifacts-all", "-execs", "2"},
 		{"-no-such-flag"},
 	} {

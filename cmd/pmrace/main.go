@@ -20,6 +20,9 @@
 //	pmrace logs   -server http://host:7762 -id c0001
 //	pmrace trace  -server http://host:7762 c0001 > timeline.json
 //
+// submit takes the same campaign-spec flags, with the same defaults, as a
+// local run (-target, -mode, -workers, -execs, ...; see specFlags).
+//
 // With -json the typed event stream (exec_done, seed_accepted,
 // inconsistency_found, validation_verdict, bug_confirmed, campaign_done,
 // ...) goes to stdout as JSON lines and the human summary moves to stderr.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -20,12 +19,12 @@ import (
 // detection DB can emit unconditionally.
 type Emitter struct {
 	start      time.Time
-	seq        atomic.Uint64
 	reg        *Registry
 	dropped    *Counter
 	sseDropped *Counter
 
 	mu       sync.Mutex
+	seq      uint64
 	sinks    []Sink
 	ch       chan Event
 	extras   []chan Event
@@ -145,15 +144,17 @@ func (e *Emitter) Emit(ev Event) {
 	if e == nil {
 		return
 	}
-	m := ev.Meta()
-	m.Seq = e.seq.Add(1)
-	m.At = time.Since(e.start)
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return
 	}
+	// Stamped under the delivery lock: with concurrent producers (fuzzing
+	// and validation workers) every consumer sees Seq strictly increasing.
+	m := ev.Meta()
+	e.seq++
+	m.Seq = e.seq
+	m.At = time.Since(e.start)
 	if ev.Kind() == KindCampaignDone {
 		// Remembered under the same critical section that delivers it, so
 		// a SubscribeExtra racing this Emit either attaches first (and
