@@ -208,11 +208,13 @@ func TestObsBenchJSON(t *testing.T) {
 	}
 	out := struct {
 		Date     string                 `json:"date"`
+		Host     benchHost              `json:"host"`
 		Note     string                 `json:"note"`
 		Baseline map[string]float64     `json:"baseline_single_mutex_ns"`
 		Micro    map[string]microResult `json:"micro"`
 	}{
 		Date: time.Now().UTC().Format(time.RFC3339),
+		Host: currentHost(),
 		Note: "trace ring sharded per-thread (per-shard mutex + atomic global seq ticket), merged by Seq in snapshot; baseline_single_mutex_ns measured on the pre-sharding global-mutex ring on the same host. Hook store/load with tracing improve via the per-Thread cached shard pointer (no modulo/ring indirection per access); the ring-add micro pays ~4ns for the global order ticket (see internal/rt BenchmarkTraceAdd* for the in-binary A/B) but no longer serializes concurrent workers. span_* rows cover the span-tracing subsystem: span_disabled is the per-call-site cost in an untraced campaign (one atomic load, 0 allocs — the PM access hooks are never on the span path at all), span_sampled_rate8 the steady-state default, span_enabled one full span record, span_flight_snapshot the anomaly-dump/export merge of a full 4096-span recorder.",
 		Baseline: map[string]float64{
 			"hook_store64_untraced":         225.4,

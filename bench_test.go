@@ -14,7 +14,6 @@ import (
 
 	"github.com/pmrace-go/pmrace/internal/experiments"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
-	"github.com/pmrace-go/pmrace/internal/sched"
 )
 
 // benchConfig is a reduced-budget configuration so one benchmark iteration
@@ -190,38 +189,6 @@ func BenchmarkFuzzThroughput(b *testing.B) {
 }
 
 // --- Ablations of the design choices DESIGN.md calls out ---
-
-// BenchmarkAblationWriterWait varies how long cond_signal stalls the writer
-// before its flush (the paper sets it to the typical execution time of the
-// program; too short and readers miss the window, too long and throughput
-// collapses). Reported metric: inter-thread inconsistency detections on the
-// P-CLHT campaign.
-func BenchmarkAblationWriterWait(b *testing.B) {
-	for _, ww := range []time.Duration{200 * time.Microsecond, 2 * time.Millisecond, 8 * time.Millisecond} {
-		ww := ww
-		b.Run(ww.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := sched.DefaultConfig()
-				cfg.WriterWait = ww
-				fz, err := fuzz.New("pclht", fuzz.Options{
-					MaxExecs: 24,
-					Duration: 60 * time.Second,
-					Seed:     7,
-					Sched:    cfg,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := fz.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(len(res.FirstInterTimes)), "inter-detections")
-				b.ReportMetric(res.ExecsPerSec, "execs/s")
-			}
-		})
-	}
-}
 
 // BenchmarkAblationEADR compares the ADR failure model (volatile caches,
 // paper §3.1) against eADR (battery-backed caches, §6.6): inter-thread

@@ -137,8 +137,6 @@ type Options struct {
 	// load/store alias pairs from `pmvet -alias`; entries covering a hint
 	// are explored before any purely dynamically prioritized entry.
 	AliasHints []AliasHint
-	// Sched tunes the PM-aware scheduling algorithm.
-	Sched sched.Config
 }
 
 func (o Options) withDefaults() Options {
@@ -180,9 +178,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ValidationWorkers <= 0 {
 		o.ValidationWorkers = 2
-	}
-	if o.Sched.Poll <= 0 {
-		o.Sched = sched.DefaultConfig()
 	}
 	return o
 }
@@ -257,6 +252,9 @@ type Fuzzer struct {
 	gBranch  *obs.Gauge
 	gAlias   *obs.Gauge
 	hExecLat *obs.Histogram
+
+	// Scheduler outcomes of PM-aware executions.
+	mCondWaits, mSignals, mPrivileged, mQuiescent, mBackstop *obs.Counter
 
 	// tr records lifecycle spans for sampled executions; nil (inert) unless
 	// SetTracer attached one.
@@ -364,6 +362,11 @@ func (f *Fuzzer) SetEmitter(em *obs.Emitter) {
 	f.mInterl = reg.Counter(obs.MInterleavings)
 	f.mPruned = reg.Counter(obs.MInterleavingsPruned)
 	f.mIncons = reg.Counter(obs.MInconsistencies)
+	f.mCondWaits = reg.Counter(obs.MSchedCondWaits)
+	f.mSignals = reg.Counter(obs.MSchedSignals)
+	f.mPrivileged = reg.Counter(obs.MSchedPrivileged)
+	f.mQuiescent = reg.Counter(obs.MSchedDisabledQuiescent)
+	f.mBackstop = reg.Counter(obs.MSchedDisabledBackstop)
 	f.gBranch = reg.Gauge(obs.MBranchCov)
 	f.gAlias = reg.Gauge(obs.MAliasCov)
 	f.hExecLat = reg.Histogram(obs.HExecLatency)
@@ -601,9 +604,7 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 			})
 			productive, ran := false, 0
 			for e := 0; e < f.opts.ExecsPerInterleaving && !f.done(); e++ {
-				cfg := f.opts.Sched
-				cfg.Seed = rng.Int63()
-				pm := sched.NewPMAware(cfg, entry, f.skipFor(entry.Addr))
+				pm := sched.NewPMAware(sched.Config{Seed: rng.Int63()}, entry, f.skipFor(entry.Addr))
 				out, err := f.runOne(seed, pm, worker)
 				if err != nil {
 					return err
@@ -624,7 +625,9 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 				if (novel && out.improved) || out.found {
 					productive = true
 				}
-				if o := pm.Outcome(); o.Disabled {
+				o := pm.Outcome()
+				f.countOutcome(o)
+				if o.Disabled {
 					// Pitfall-3: save an increased skip so
 					// future campaigns on this seed bypass
 					// the blocking cond_wait executions.
@@ -667,6 +670,25 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 		}
 	}
 	return nil
+}
+
+// countOutcome adds one PM-aware execution's scheduler outcome to the
+// campaign counters. A disabled sync point counts as quiescent unless the
+// wall-clock backstop ended the wait.
+func (f *Fuzzer) countOutcome(o sched.Outcome) {
+	f.mCondWaits.Add(int64(o.CondWaits))
+	if o.Signalled {
+		f.mSignals.Inc()
+	}
+	if o.PrivilegedUsed {
+		f.mPrivileged.Inc()
+	}
+	if o.Disabled && !o.Backstop {
+		f.mQuiescent.Inc()
+	}
+	if o.Backstop {
+		f.mBackstop.Inc()
+	}
 }
 
 func (f *Fuzzer) baseStrategy(rng *rand.Rand) sched.Strategy {

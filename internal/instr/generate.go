@@ -241,9 +241,9 @@ func (fg *fileGen) markerEdit() {
 }
 
 // selectorPass renames pmplain type and constructor references to their
-// instrumented equivalents: Mem -> rt.Thread, ObjPool -> pmdk.ObjPool,
-// Create/Open -> pmdk.Create/Open. Any other qualified pmplain reference is
-// an error.
+// instrumented equivalents: Mem -> rt.Thread, Mutex -> rt.Mutex, ObjPool ->
+// pmdk.ObjPool, Create/Open -> pmdk.Create/Open. Any other qualified pmplain
+// reference is an error.
 func (fg *fileGen) selectorPass() {
 	ast.Inspect(fg.file, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
@@ -262,6 +262,8 @@ func (fg *fileGen) selectorPass() {
 		switch sel.Sel.Name {
 		case "Mem":
 			repl, imp = "rt.Thread", fg.internalPrefix+"rt"
+		case "Mutex":
+			repl, imp = "rt.Mutex", fg.internalPrefix+"rt"
 		case "ObjPool":
 			repl, imp = "pmdk.ObjPool", fg.internalPrefix+"pmdk"
 		case "Create":

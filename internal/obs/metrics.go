@@ -32,6 +32,19 @@ const (
 	HValidateStateLatency = "validate_state_latency"
 )
 
+// Scheduler outcomes of PM-aware executions: cond_wait executions that
+// waited, executions whose signal fired, executions that elected a
+// privileged thread (Pitfall-2), executions whose sync point was disabled
+// because no thread could run (Pitfall-3), and executions in which the
+// wall-clock backstop ended a wait the ledger could not.
+const (
+	MSchedCondWaits         = "sched_cond_waits_total"
+	MSchedSignals           = "sched_signals_total"
+	MSchedPrivileged        = "sched_privileged_total"
+	MSchedDisabledQuiescent = "sched_disabled_quiescent_total"
+	MSchedDisabledBackstop  = "sched_disabled_backstop_total"
+)
+
 // Counter is a monotonically increasing atomic counter. All methods are
 // nil-receiver safe so producers can hold a nil handle when metrics are
 // disabled without branching at every increment site.

@@ -12,7 +12,6 @@ package pmdk
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/rt"
@@ -54,8 +53,9 @@ var ErrOutOfMemory = errors.New("pmdk: out of persistent memory")
 
 // ObjPool is a formatted persistent object pool.
 type ObjPool struct {
-	allocMu sync.Mutex
-	txMu    sync.Mutex
+	// The locks are rt.Mutex so the PM-aware scheduler sees their waiters.
+	allocMu rt.Mutex
+	txMu    rt.Mutex
 	size    uint64
 }
 
@@ -146,8 +146,8 @@ func (p *ObjPool) SetRoot(t *rt.Thread, off pmem.Addr) {
 // new top is persisted under the allocator lock, concurrent allocations
 // never observe a dirty heap pointer.
 func (p *ObjPool) Alloc(t *rt.Thread, size uint64) (pmem.Addr, error) {
-	p.allocMu.Lock()
-	defer p.allocMu.Unlock()
+	p.allocMu.Lock(t)
+	defer p.allocMu.Unlock(t)
 	return p.allocLocked(t, size, true)
 }
 
@@ -175,8 +175,8 @@ func (p *ObjPool) allocLocked(t *rt.Thread, size uint64, persist bool) (pmem.Add
 // (paper §4.4: "the default whitelist of PMRace includes the transactional
 // allocations in PMDK").
 func (p *ObjPool) AllocRedo(t *rt.Thread, size uint64) (pmem.Addr, error) {
-	p.allocMu.Lock()
-	defer p.allocMu.Unlock()
+	p.allocMu.Lock(t)
+	defer p.allocMu.Unlock(t)
 	if rem := size % pmem.LineSize; rem != 0 {
 		size += pmem.LineSize - rem
 	}
@@ -211,7 +211,7 @@ type Tx struct {
 // Begin opens a transaction. Only one transaction may be open at a time
 // (the mini-PMDK equivalent of a single lane).
 func (p *ObjPool) Begin(t *rt.Thread) *Tx {
-	p.txMu.Lock()
+	p.txMu.Lock(t)
 	t.Store64(offTxCount, 0, taint.None, taint.None)
 	t.Store64(offTxActive, 1, taint.None, taint.None)
 	t.Persist(offTxActive, 16)
@@ -253,8 +253,8 @@ func (tx *Tx) Alloc(size uint64) (pmem.Addr, error) {
 	if tx.closed {
 		return 0, errors.New("pmdk: transaction closed")
 	}
-	tx.pool.allocMu.Lock()
-	defer tx.pool.allocMu.Unlock()
+	tx.pool.allocMu.Lock(tx.p)
+	defer tx.pool.allocMu.Unlock(tx.p)
 	if !tx.heapLogged {
 		if err := tx.addHeapTop(); err != nil {
 			return 0, err
@@ -296,7 +296,7 @@ func (tx *Tx) Commit() {
 	t.Store64(offTxCount, 0, taint.None, taint.None)
 	t.Persist(offTxActive, 16)
 	tx.closed = true
-	tx.pool.txMu.Unlock()
+	tx.pool.txMu.Unlock(tx.p)
 }
 
 // Abort rolls the transaction back immediately using the undo log, exactly
@@ -307,7 +307,7 @@ func (tx *Tx) Abort() {
 	}
 	tx.pool.recover(tx.p)
 	tx.closed = true
-	tx.pool.txMu.Unlock()
+	tx.pool.txMu.Unlock(tx.p)
 }
 
 // DefaultWhitelist returns the default benign-pattern whitelist entries

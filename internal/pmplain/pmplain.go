@@ -113,6 +113,18 @@ func (m *Mem) SpinUnlock(addr pmem.Addr) { m.Store64(addr, 0) }
 // instrumented code; a no-op here).
 func (m *Mem) Branch() {}
 
+// Mutex is the plain-dialect volatile lock; pminstr rewrites it to
+// rt.Mutex, whose waiters the PM-aware scheduler can see. Lock and Unlock
+// take the calling thread's Mem, like rt.Mutex takes its rt.Thread; a nil
+// Mem is allowed.
+type Mutex struct{ mu sync.Mutex }
+
+// Lock acquires the mutex.
+func (mu *Mutex) Lock(*Mem) { mu.mu.Lock() }
+
+// Unlock releases the mutex.
+func (mu *Mutex) Unlock(*Mem) { mu.mu.Unlock() }
+
 // SyncVarHint declares a persistent synchronization variable (lock word,
 // status flag) for the detector's sync-inconsistency analysis. pminstr
 // rewrites the call into t.Env().AnnotateSyncVar(core.SyncVar{...}).

@@ -13,4 +13,7 @@
 //   - record per-address access statistics for the priority queue;
 //   - call into the interleaving-exploration strategy around each access;
 //   - watch for hangs in spin-lock acquisition.
+//
+// Volatile locks in target code are Mutex values, whose waiters the
+// PM-aware scheduler sees through the environment's run-state ledger.
 package rt

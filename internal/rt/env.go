@@ -68,6 +68,11 @@ type Env struct {
 	// hooks skip the per-access interface calls entirely.
 	stratNone bool
 
+	// ledger is the run-state ledger the strategy decides from, nil when
+	// the strategy keeps none (sched.None among them): Mutex and SpinLock
+	// report lock waits to it, and loads report passing a sync point.
+	ledger *sched.Ledger
+
 	// batch runs the deferred per-access analyses (alias pairs, statistics,
 	// redundant stores) over thread log drains.
 	batch *core.BatchAnalyzer
@@ -102,6 +107,12 @@ type Env struct {
 	liveThreads map[pmem.ThreadID]struct{}
 }
 
+// ledgerUser is a strategy that decides from a run-state ledger, such as
+// sched.PMAware or a wrapper embedding it.
+type ledgerUser interface {
+	UseLedger(*sched.Ledger)
+}
+
 // NewEnv creates an environment over the given pool.
 func NewEnv(pool *pmem.Pool, cfg Config) *Env {
 	if cfg.Strategy == nil {
@@ -120,6 +131,10 @@ func NewEnv(pool *pmem.Pool, cfg Config) *Env {
 		cfg:    cfg,
 	}
 	_, e.stratNone = cfg.Strategy.(sched.None)
+	if u, ok := cfg.Strategy.(ledgerUser); ok {
+		e.ledger = sched.NewLedger()
+		u.UseLedger(e.ledger)
+	}
 	e.lockHolders = make(map[pmem.Addr]pmem.ThreadID)
 	e.liveThreads = make(map[pmem.ThreadID]struct{})
 	e.batch = core.NewBatchAnalyzer(e.det, e.cov.Alias, cfg.CollectStats)

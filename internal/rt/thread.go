@@ -139,6 +139,9 @@ func (t *Thread) load64At(addr pmem.Addr, s site.ID) (uint64, taint.Label) {
 	}
 	t.traceAccess(AccLoad, addr, s)
 	val, meta, shadow, prev := e.pool.InstrLoad64(t.ID, uint32(s), addr)
+	if e.ledger != nil {
+		e.ledger.PassedLoad(t.ID)
+	}
 	var kind uint8
 	if meta.Dirty {
 		kind = core.KindDirty
@@ -172,6 +175,9 @@ func (t *Thread) LoadBytes(addr pmem.Addr, n uint64) ([]byte, taint.Label) {
 	}
 	t.traceAccess(AccLoad, addr, s)
 	out, meta, waddr, dirty, rawLabels, prev := e.pool.InstrLoadBytes(t.ID, uint32(s), addr, n)
+	if e.ledger != nil {
+		e.ledger.PassedLoad(t.ID)
+	}
 	var kind uint8
 	if dirty {
 		kind = core.KindDirty
@@ -429,6 +435,9 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 	t.drainLog()
 	deadline := time.Now().Add(t.env.cfg.HangTimeout)
 	spins := 0
+	// wake is non-nil while the ledger counts the thread as blocked on
+	// the lock word.
+	var wake <-chan struct{}
 	for {
 		// Test-and-test-and-set: attempt the fully instrumented CAS
 		// only when an uninstrumented peek shows the lock free.
@@ -439,6 +448,7 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 		// lock-word alias pairs and statistics are recorded exactly
 		// once per acquisition attempt that could have succeeded.
 		if t.env.pool.Load64(addr) == 0 {
+			wake = t.unblock(wake)
 			ok, _, _ := t.cas64At(addr, 0, 1, taint.None, taint.None, s)
 			if ok {
 				t.env.noteLockAcquired(addr, t.ID)
@@ -457,6 +467,7 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 		// persistent lock word set in a crash image that recovery
 		// trips over — still take the timeout path.
 		if spins%32 == 0 && (t.env.lockUnacquirable(addr, t.ID) || time.Now().After(deadline)) {
+			t.unblock(wake)
 			t.drainLog()
 			rep := HangReport{
 				Thread: t.ID,
@@ -473,9 +484,11 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 			runtime.Gosched()
 		} else {
 			// Past the yield phase the holder is genuinely stalled
-			// (usually a cond_wait window); sleep briefly rather
-			// than burn the only CPU, but stay fine-grained so the
+			// (usually a cond_wait window): the ledger counts the
+			// thread as blocked, and it sleeps briefly rather than
+			// burn the only CPU, but stays fine-grained so the
 			// handoff after release is prompt.
+			wake = t.blockOnLockWord(addr, wake)
 			time.Sleep(5 * time.Microsecond)
 		}
 	}
@@ -489,7 +502,38 @@ func (t *Thread) SpinUnlock(addr pmem.Addr) {
 	s := t.siteFromPC(site.ReturnPC())
 	t.env.noteLockReleased(addr)
 	t.store64At(addr, 0, taint.None, taint.None, s)
+	if t.env.ledger != nil {
+		t.env.ledger.Release(addr)
+	}
 	t.drainLog()
+}
+
+// blockOnLockWord counts the thread as blocked on the lock word while it is
+// held; wake is the channel of an earlier registration, nil when there is
+// none. It returns the registration still in force, nil once a release made
+// the thread running again.
+func (t *Thread) blockOnLockWord(addr pmem.Addr, wake <-chan struct{}) <-chan struct{} {
+	l := t.env.ledger
+	if l == nil {
+		return nil
+	}
+	if wake == nil {
+		return l.Block(t.ID, addr, func() bool { return t.env.pool.Load64(addr) != 0 })
+	}
+	select {
+	case <-wake:
+		return nil
+	default:
+		return wake
+	}
+}
+
+// unblock ends a lock-word registration the thread leaves on its own.
+func (t *Thread) unblock(wake <-chan struct{}) <-chan struct{} {
+	if wake != nil {
+		t.env.ledger.Unblock(t.ID)
+	}
+	return nil
 }
 
 // --- internal helpers ---

@@ -1,23 +1,12 @@
 package sched
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/site"
 )
-
-func testConfig() Config {
-	return Config{
-		Poll:       5 * time.Microsecond,
-		WriterWait: 500 * time.Microsecond,
-		MaxWait:    100 * time.Millisecond,
-		Seed:       1,
-	}
-}
 
 func entryFor(addr pmem.Addr, loads, stores []site.ID) *Entry {
 	e := &Entry{Addr: addr, LoadSites: map[site.ID]struct{}{}, StoreSites: map[site.ID]struct{}{}}
@@ -144,173 +133,246 @@ func TestDelayInjectorDefaultBound(t *testing.T) {
 	}
 }
 
+// scripted builds a PM-aware strategy on entry with the given skip and live
+// threads, armed for one execution. Its tests drive the ledger by hand: no
+// goroutines, no sleeps.
+func scripted(t *testing.T, skip int, threads ...pmem.ThreadID) (*PMAware, *Ledger, site.ID, site.ID) {
+	t.Helper()
+	load, store := site.Named(t.Name()+"-load"), site.Named(t.Name()+"-store")
+	p := NewPMAware(DefaultConfig(), entryFor(64, []site.ID{load}, []site.ID{store}), skip)
+	l := NewLedger()
+	p.UseLedger(l)
+	p.BeginExec(len(threads))
+	for _, th := range threads {
+		p.ThreadStart(th)
+	}
+	return p, l, load, store
+}
+
+// released reports whether the waiter was released, consuming the token.
+func released(th *ledgerThread) bool {
+	select {
+	case <-th.wake:
+		return true
+	default:
+		return false
+	}
+}
+
+func closed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
 func TestPMAwareWaitReleasedBySignal(t *testing.T) {
-	loadSite, storeSite := site.Named("pw-load"), site.Named("pw-store")
-	p := NewPMAware(testConfig(), entryFor(64, []site.ID{loadSite}, []site.ID{storeSite}), 0)
-	p.BeginExec(2)
-	p.ThreadStart(1)
-	p.ThreadStart(2)
-
-	var order []string
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // reader
-		defer wg.Done()
-		p.BeforeLoad(1, 64, loadSite)
-		mu.Lock()
-		order = append(order, "read")
-		mu.Unlock()
-		p.ThreadExit(1)
-	}()
-	go func() { // writer
-		defer wg.Done()
-		time.Sleep(200 * time.Microsecond)
-		mu.Lock()
-		order = append(order, "write")
-		mu.Unlock()
-		p.AfterStore(2, 64, storeSite)
-		p.ThreadExit(2)
-	}()
-	wg.Wait()
-	p.EndExec()
-
-	if len(order) != 2 || order[0] != "write" || order[1] != "read" {
-		t.Fatalf("order = %v, want write before read", order)
+	p, l, _, _ := scripted(t, 0, 1, 2)
+	reader := p.enterWait(1)
+	if reader == nil || released(reader) {
+		t.Fatalf("reader must wait while the writer runs")
+	}
+	held := p.signal()
+	if held == nil || !released(reader) {
+		t.Fatalf("signal must release the waiting reader")
+	}
+	if closed(held) {
+		t.Fatalf("writer must be held until the reader passes its load")
+	}
+	l.PassedLoad(2) // the writer's own loads do not count
+	if closed(held) {
+		t.Fatalf("writer released by another thread's load")
+	}
+	l.PassedLoad(1)
+	if !closed(held) {
+		t.Fatalf("writer still held after the reader's sync-point load")
 	}
 	out := p.Outcome()
-	if !out.Signalled || out.CondWaits != 1 || out.Disabled {
+	if !out.Signalled || out.CondWaits != 1 || out.Disabled || out.Backstop {
 		t.Fatalf("outcome = %+v", out)
 	}
 }
 
-func TestPMAwareSignalDisablesFutureWaits(t *testing.T) {
-	loadSite, storeSite := site.Named("pd-load"), site.Named("pd-store")
-	p := NewPMAware(testConfig(), entryFor(64, []site.ID{loadSite}, []site.ID{storeSite}), 0)
-	p.BeginExec(1)
-	p.ThreadStart(1)
-	p.AfterStore(1, 64, storeSite) // signal first (Pitfall-1)
-	done := make(chan struct{})
-	go func() {
-		p.BeforeLoad(1, 64, loadSite) // must not block
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatalf("cond_wait after signal must not block")
+func TestPMAwareWriterHoldEndsWhenReaderBlocksOrExits(t *testing.T) {
+	p, l, _, _ := scripted(t, 0, 1, 2, 3)
+	r1, r2 := p.enterWait(1), p.enterWait(2)
+	held := p.signal()
+	if !released(r1) || !released(r2) {
+		t.Fatalf("signal must release every waiter")
+	}
+	if w := l.Block(1, "lock", func() bool { return true }); w == nil {
+		t.Fatalf("held lock must block")
+	}
+	if closed(held) {
+		t.Fatalf("one reader is still ahead of its load")
+	}
+	p.ThreadExit(2)
+	if !closed(held) {
+		t.Fatalf("writer still held after its readers blocked and exited")
 	}
 }
 
-func TestPMAwareSkipCount(t *testing.T) {
-	loadSite := site.Named("ps-load")
-	p := NewPMAware(testConfig(), entryFor(64, []site.ID{loadSite}, []site.ID{site.Named("ps-store")}), 2)
-	p.BeginExec(1)
-	p.ThreadStart(1)
-	done := make(chan struct{})
-	go func() {
-		p.BeforeLoad(1, 64, loadSite) // skipped (skip 2 -> 1)
-		p.BeforeLoad(1, 64, loadSite) // skipped (skip 1 -> 0)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatalf("skipped cond_waits must not block")
+func TestPMAwareSignalDisablesFutureWaits(t *testing.T) {
+	p, _, load, store := scripted(t, 0, 1, 2)
+	p.AfterStore(2, 64, store) // nobody waits: no signal (Pitfall-1)
+	if p.Outcome().Signalled {
+		t.Fatalf("a store nobody waits for must not burn the signal")
 	}
-	if got := p.Outcome().CondWaits; got != 0 {
-		t.Fatalf("skipped waits must not count, got %d", got)
+	p.enterWait(1)
+	if p.signal() == nil {
+		t.Fatalf("signal must fire for a waiting reader")
+	}
+	if p.enterWait(1) != nil || p.enterWait(2) != nil {
+		t.Fatalf("cond_wait after the signal must be a no-op")
+	}
+	p.BeforeLoad(2, 64, load) // must return at once
+}
+
+func TestPMAwareSkipCount(t *testing.T) {
+	p, _, _, _ := scripted(t, 2, 1, 2)
+	if p.enterWait(1) != nil || p.enterWait(1) != nil {
+		t.Fatalf("the first two cond_waits must be skipped")
+	}
+	if p.Outcome().CondWaits != 0 {
+		t.Fatalf("skipped waits must not count")
+	}
+	if p.enterWait(1) == nil {
+		t.Fatalf("the third cond_wait must wait")
 	}
 }
 
 func TestPMAwareAllBlockedElectsPrivileged(t *testing.T) {
-	loadSite := site.Named("pp-load")
-	cfg := testConfig()
-	cfg.MaxWait = 10 * time.Second // privileged election must fire first
-	p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{site.Named("pp-store")}), 0)
-	p.BeginExec(2)
-	p.ThreadStart(1)
-	p.ThreadStart(2)
-	var released atomic.Int32
-	var wg sync.WaitGroup
-	for _, tid := range []pmem.ThreadID{1, 2} {
-		wg.Add(1)
-		go func(tid pmem.ThreadID) {
-			defer wg.Done()
-			p.BeforeLoad(tid, 64, loadSite)
-			released.Add(1)
-		}(tid)
+	elect := func() pmem.ThreadID {
+		p, _, _, _ := scripted(t, 0, 1, 2, 3)
+		ws := map[pmem.ThreadID]*ledgerThread{1: p.enterWait(1), 2: p.enterWait(2)}
+		for id, w := range ws {
+			if released(w) {
+				t.Fatalf("thread %d released while thread 3 runs", id)
+			}
+		}
+		ws[3] = p.enterWait(3)
+		var chosen []pmem.ThreadID
+		for id, w := range ws {
+			if released(w) {
+				chosen = append(chosen, id)
+			}
+		}
+		if len(chosen) != 1 {
+			t.Fatalf("released %v, want exactly one privileged thread", chosen)
+		}
+		if p.enterWait(chosen[0]) != nil {
+			t.Fatalf("the privileged thread must bypass later waits")
+		}
+		if out := p.Outcome(); !out.PrivilegedUsed || out.Disabled {
+			t.Fatalf("outcome = %+v", out)
+		}
+		return chosen[0]
 	}
-	// One thread must be elected privileged and released; the other stays
-	// blocked until we signal.
-	deadline := time.Now().Add(5 * time.Second)
-	for released.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if released.Load() == 0 {
-		t.Fatalf("no privileged thread was released")
-	}
-	p.condSignal() // release the rest
-	wg.Wait()
-	if !p.Outcome().PrivilegedUsed {
-		t.Fatalf("outcome must record privileged use")
+	if a, b := elect(), elect(); a != b {
+		t.Fatalf("same seed elected %d then %d", a, b)
 	}
 }
 
 func TestPMAwareBlockedThreadDisablesSyncPoint(t *testing.T) {
-	loadSite := site.Named("pb-load")
-	cfg := testConfig()
-	cfg.MaxWait = time.Millisecond
-	p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{site.Named("pb-store")}), 0)
-	p.BeginExec(2)
-	p.ThreadStart(1)
-	p.ThreadStart(2) // second thread never waits, so not "all blocked"
-	done := make(chan struct{})
-	go func() {
-		p.BeforeLoad(1, 64, loadSite)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("blocked thread must give up after MaxWait")
+	p, l, _, _ := scripted(t, 0, 1, 2, 3)
+	w := p.enterWait(1)
+	l.Block(2, "log", func() bool { return true })
+	if released(w) {
+		t.Fatalf("thread 3 still runs: no decision yet")
+	}
+	l.Block(3, "log", func() bool { return true })
+	if !released(w) {
+		t.Fatalf("waiter must be released once no thread can run")
 	}
 	out := p.Outcome()
-	if !out.Disabled || out.CondWaits != 1 {
-		t.Fatalf("outcome = %+v, want disabled with one wait", out)
+	if !out.Disabled || out.Backstop || out.CondWaits != 1 || out.PrivilegedUsed {
+		t.Fatalf("outcome = %+v, want a quiescent disable", out)
 	}
-	// Once disabled, further waits return immediately.
-	start := time.Now()
-	p.BeforeLoad(1, 64, loadSite)
-	if time.Since(start) > 100*time.Millisecond {
+	if p.enterWait(2) != nil {
 		t.Fatalf("disabled sync point must not wait")
 	}
 }
 
-func TestPMAwareIgnoresOtherAddressesAndSites(t *testing.T) {
-	loadSite := site.Named("pi-load")
-	p := NewPMAware(testConfig(), entryFor(64, []site.ID{loadSite}, []site.ID{site.Named("pi-store")}), 0)
-	p.BeginExec(1)
-	p.ThreadStart(1)
-	done := make(chan struct{})
-	go func() {
-		p.BeforeLoad(1, 128, loadSite)            // wrong address
-		p.BeforeLoad(1, 64, site.Named("other"))  // wrong site
-		p.AfterStore(1, 64, site.Named("other2")) // wrong store site: no signal
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatalf("non-entry accesses must not block")
+func TestPMAwareUnstartedThreadCountsAsRunning(t *testing.T) {
+	p, l, _, _ := scripted(t, 0, 1)
+	p.BeginExec(2) // thread 2 is announced but has not started
+	w := p.enterWait(1)
+	if released(w) {
+		t.Fatalf("an unstarted thread may still signal")
 	}
-	if p.Outcome().Signalled {
-		t.Fatalf("non-entry store must not signal")
+	p.ThreadStart(2)
+	l.Block(2, "log", func() bool { return true })
+	if !released(w) || !p.Outcome().Disabled {
+		t.Fatalf("outcome = %+v, want disabled", p.Outcome())
+	}
+}
+
+func TestLedgerReleaseMakesWaitersRunnable(t *testing.T) {
+	p, l, _, _ := scripted(t, 0, 1, 2)
+	if l.Block(2, "a", func() bool { return false }) != nil {
+		t.Fatalf("a free lock must not block")
+	}
+	wake := l.Block(2, "a", func() bool { return true })
+	l.Release("b")
+	if st, _ := l.State(2); st != LockBlocked {
+		t.Fatalf("release of another lock woke thread 2")
+	}
+	l.Release("a")
+	if st, _ := l.State(2); st != Running || len(wake) != 1 {
+		t.Fatalf("state %v, %d tokens after release", st, len(wake))
+	}
+	<-wake
+	// Released before the waiter entered cond_wait: thread 2 runs, so
+	// thread 1's wait is undecided.
+	if w := p.enterWait(1); released(w) {
+		t.Fatalf("quiescence declared while thread 2 runs")
+	}
+}
+
+func TestLedgerUnblockConsumesStaleToken(t *testing.T) {
+	_, l, _, _ := scripted(t, 0, 1, 2)
+	wake := l.Block(2, "a", func() bool { return true })
+	l.Release("a")
+	l.Unblock(2) // acquired on its own after the release
+	if len(wake) != 0 {
+		t.Fatalf("stale release token left behind")
+	}
+	l.Block(2, "a", func() bool { return true })
+	l.Unblock(2)
+	if st, _ := l.State(2); st != Running || len(wake) != 0 {
+		t.Fatalf("state %v, %d tokens after unblock", st, len(wake))
+	}
+}
+
+// TestPMAwareBackstop covers blocking the ledger cannot see: the other
+// thread is counted running, so only the wall-clock backstop ends the wait.
+func TestPMAwareBackstop(t *testing.T) {
+	p, _, load, _ := scripted(t, 0, 1, 2)
+	start := time.Now()
+	p.BeforeLoad(1, 64, load)
+	if d := time.Since(start); d < backstop {
+		t.Fatalf("wait ended after %v, before the backstop", d)
+	}
+	out := p.Outcome()
+	if !out.Disabled || !out.Backstop {
+		t.Fatalf("outcome = %+v, want a backstop disable", out)
+	}
+}
+
+func TestPMAwareIgnoresOtherAddressesAndSites(t *testing.T) {
+	p, _, load, _ := scripted(t, 0, 1, 2)
+	p.BeforeLoad(1, 128, load)                // wrong address
+	p.BeforeLoad(1, 64, site.Named("other"))  // wrong site
+	p.AfterStore(1, 64, site.Named("other2")) // wrong store site: no signal
+	if out := p.Outcome(); out.Signalled || out.CondWaits != 0 {
+		t.Fatalf("non-entry accesses must be inert: %+v", out)
 	}
 }
 
 func TestPMAwareNilEntryIsNoop(t *testing.T) {
-	p := NewPMAware(testConfig(), nil, 0)
+	p := NewPMAware(DefaultConfig(), nil, 0)
 	p.BeginExec(1)
 	p.ThreadStart(1)
 	p.BeforeLoad(1, 64, 1)
@@ -322,7 +384,7 @@ func TestPMAwareNilEntryIsNoop(t *testing.T) {
 
 func TestPMAwareZeroConfigGetsDefaults(t *testing.T) {
 	p := NewPMAware(Config{}, nil, 0)
-	if p.cfg.Poll <= 0 || p.cfg.MaxWait <= 0 {
+	if p.cfg != DefaultConfig() {
 		t.Fatalf("zero config must be replaced by defaults: %+v", p.cfg)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"math/bits"
 	"strconv"
-	"sync"
 
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/pmdk"
@@ -61,7 +60,8 @@ type HT struct {
 	pool *pmdk.ObjPool
 	root pmem.Addr
 
-	growMu sync.Mutex // volatile serialization of directory growth
+	// growMu serializes directory growth; the scheduler sees its waiters.
+	growMu rt.Mutex
 }
 
 // New creates an unopened instance.
@@ -271,8 +271,8 @@ func (h *HT) Delete(t *rt.Thread, key string) bool {
 // directory when the local depth reaches the global depth (Bug 7 lives in
 // the doubling path).
 func (h *HT) split(t *rt.Thread, kf, gdSeen uint64) error {
-	h.growMu.Lock()
-	defer h.growMu.Unlock()
+	h.growMu.Lock(t)
+	defer h.growMu.Unlock(t)
 	t.Branch()
 	t.SpinLock(h.root + fldDirLock)
 	defer t.SpinUnlock(h.root + fldDirLock)

@@ -24,7 +24,6 @@ package pclht
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"github.com/pmrace-go/pmrace/internal/core"
@@ -71,7 +70,8 @@ type HT struct {
 	pool *pmdk.ObjPool
 	root pmem.Addr
 
-	resizeMu sync.Mutex // volatile helper serializing resize decisions
+	// resizeMu is a volatile helper serializing resize decisions.
+	resizeMu rt.Mutex
 	puts     atomic.Int64
 }
 
@@ -288,8 +288,8 @@ func (h *HT) bumpCount(t *rt.Thread) {
 // Bug 3 (GC from the unflushed table_new) and Bug 4 (redundant bucket
 // writes during migration).
 func (h *HT) resize(t *rt.Thread) error {
-	h.resizeMu.Lock()
-	defer h.resizeMu.Unlock()
+	h.resizeMu.Lock(t)
+	defer h.resizeMu.Unlock(t)
 	t.Branch()
 	t.SpinLock(h.root + fldResizeLock)
 	defer t.SpinUnlock(h.root + fldResizeLock)

@@ -24,7 +24,6 @@ package pclhtplain
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"github.com/pmrace-go/pmrace/internal/pmem"
@@ -71,7 +70,8 @@ type HT struct {
 	pool *pmplain.ObjPool
 	root pmem.Addr
 
-	resizeMu sync.Mutex // volatile helper serializing resize decisions
+	// resizeMu is a volatile helper serializing resize decisions.
+	resizeMu pmplain.Mutex
 	puts     atomic.Int64
 }
 
@@ -288,8 +288,8 @@ func (h *HT) bumpCount(t *pmplain.Mem) {
 // Bug 3 (GC from the unflushed table_new) and Bug 4 (redundant bucket
 // writes during migration).
 func (h *HT) resize(t *pmplain.Mem) error {
-	h.resizeMu.Lock()
-	defer h.resizeMu.Unlock()
+	h.resizeMu.Lock(t)
+	defer h.resizeMu.Unlock(t)
 	t.Branch()
 	t.SpinLock(h.root + fldResizeLock)
 	defer t.SpinUnlock(h.root + fldResizeLock)

@@ -8,6 +8,7 @@ import (
 
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
+	"github.com/pmrace-go/pmrace/internal/obs"
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/taint"
@@ -408,5 +409,34 @@ func TestCampaignFindsSeededBugs(t *testing.T) {
 	}
 	if n := len(resFixed.DB.Inconsistencies()); n != 0 {
 		t.Fatalf("fixed variant still detected %d inconsistencies: %+v", n, resFixed.DB.Inconsistencies())
+	}
+}
+
+// TestCampaignSchedulerOutcomes pins how the PM-aware scheduler ends waits
+// on the log: a thread reaching the tail load holds the log lock the
+// writers need, so its sync point is disabled as soon as they block on it —
+// a quiescent disable, never the wall-clock backstop.
+func TestCampaignSchedulerOutcomes(t *testing.T) {
+	fz := fuzz.NewWithFactory(func() targets.Target { return New() }, fuzz.Options{
+		Threads:    4,
+		KeySpace:   6,
+		OpsPerSeed: 30,
+		MaxExecs:   60,
+		Duration:   60 * time.Second,
+		Seed:       11,
+		Protocol:   true,
+	})
+	if _, err := fz.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	reg := fz.Emitter().Registry()
+	waits := reg.Counter(obs.MSchedCondWaits).Value()
+	quiescent := reg.Counter(obs.MSchedDisabledQuiescent).Value()
+	backstop := reg.Counter(obs.MSchedDisabledBackstop).Value()
+	t.Logf("cond waits %d, signals %d, privileged %d, quiescent disables %d, backstop %d", waits,
+		reg.Counter(obs.MSchedSignals).Value(), reg.Counter(obs.MSchedPrivileged).Value(), quiescent, backstop)
+	if waits == 0 || quiescent == 0 || backstop != 0 {
+		t.Fatalf("cond waits %d, quiescent disables %d, backstop %d; want waits, quiescent disables and no backstop",
+			waits, quiescent, backstop)
 	}
 }
