@@ -14,6 +14,7 @@ package pmrace_test
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -158,6 +159,55 @@ func BenchmarkHotpathSiteCacheHere(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathDrainStats measures one log drain with per-address
+// statistics on: a full 256-record batch from one of four threads, through
+// core.BatchAnalyzer.Process. Records mix a hot set of shared words, each
+// loaded and then stored by one site pair, with a colder working set where
+// each word has one load site and one store site (a quarter of cold
+// accesses store). Every 32 batches (eight per thread, about one execution)
+// the statistics are handed off as the executor does, so new addresses are
+// carved again.
+func BenchmarkHotpathDrainStats(b *testing.B) {
+	const (
+		threads  = 4
+		batchLen = 256
+		hotWords = 32
+		allWords = 1024
+		execLen  = 32 // batches per execution
+	)
+	rng := rand.New(rand.NewSource(1))
+	batches := make([][]core.LogRecord, threads*4)
+	for i := range batches {
+		recs := make([]core.LogRecord, 0, batchLen)
+		for len(recs) < batchLen {
+			if rng.Intn(2) == 0 {
+				w := rng.Intn(hotWords)
+				addr := pmem.Addr(w) * 8
+				recs = append(recs,
+					core.LogRecord{Addr: addr, Site: site.ID(1 + w%4)},
+					core.LogRecord{Addr: addr, Site: site.ID(5 + w%4), Kind: core.KindStore})
+				continue
+			}
+			w := hotWords + rng.Intn(allWords-hotWords)
+			r := core.LogRecord{Addr: pmem.Addr(w) * 8, Site: site.ID(9 + w%8)}
+			if rng.Intn(4) == 0 {
+				r.Site, r.Kind = site.ID(17+w%8), core.KindStore
+			}
+			recs = append(recs, r)
+		}
+		batches[i] = recs
+	}
+	ba := core.NewBatchAnalyzer(core.NewDetector(taint.NewTable()), cover.NewBitmap(), true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ba.Process(pmem.ThreadID(i%threads), uint32(i/threads), batches[i%len(batches)])
+		if i%execLen == execLen-1 {
+			ba.Stats()
+		}
+	}
+}
+
 // BenchmarkHotpathRestoreDirty measures the dirty-line checkpoint restore:
 // the executor's steady state, where each execution dirties a small working
 // set of a large pool and Restore copies back only those lines.
@@ -268,6 +318,7 @@ func TestHotpathBenchJSON(t *testing.T) {
 		"site_cache_here":      BenchmarkHotpathSiteCacheHere,
 		"restore_dirty":        BenchmarkHotpathRestoreDirty,
 		"restore_full":         BenchmarkHotpathRestoreFull,
+		"drain_stats":          BenchmarkHotpathDrainStats,
 	}
 	type microResult struct {
 		NsPerOp     float64 `json:"ns_per_op"`

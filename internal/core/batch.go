@@ -54,8 +54,17 @@ type BatchAnalyzer struct {
 	collectStats bool
 	statsMu      sync.Mutex
 	stats        map[pmem.Addr]*sched.AddrStats
-	clocks       map[pmem.ThreadID]uint32
+	slab         []sched.AddrStats // unused entries of the current chunk
+	clocks       []uint32          // indexed by thread ID
 }
+
+// Statistics chunks grow with the number of addresses seen, from slabMin to
+// slabMax entries, so a short execution does not pay for a large slab.
+// slabMax keeps a chunk under the runtime's 32 KiB large-object size.
+const (
+	slabMin = 16
+	slabMax = 128
+)
 
 // NewBatchAnalyzer creates an analyzer feeding the given detector and alias
 // coverage bitmap. collectStats enables per-address access statistics.
@@ -65,14 +74,13 @@ func NewBatchAnalyzer(det *Detector, alias *cover.Bitmap, collectStats bool) *Ba
 		alias:        alias,
 		collectStats: collectStats,
 		stats:        make(map[pmem.Addr]*sched.AddrStats),
-		clocks:       make(map[pmem.ThreadID]uint32),
 	}
 }
 
 // Process analyzes one drained batch from thread tid. clock is the thread's
 // epoch counter at the drain (FastTrack-style: it advances once per drain, so
 // all records of a batch share the epoch). Records are processed in program
-// order.
+// order. tid is a thread ID from rt.Env.Spawn, so it is non-negative.
 func (b *BatchAnalyzer) Process(tid pmem.ThreadID, clock uint32, recs []LogRecord) {
 	b.batches.Add(1)
 	b.records.Add(int64(len(recs)))
@@ -86,21 +94,34 @@ func (b *BatchAnalyzer) Process(tid pmem.ThreadID, clock uint32, recs []LogRecor
 		}
 	}
 	b.statsMu.Lock()
+	if n := int(tid) + 1; n > len(b.clocks) {
+		b.clocks = append(b.clocks, make([]uint32, n-len(b.clocks))...)
+	}
 	if clock >= b.clocks[tid] {
 		b.clocks[tid] = clock + 1
 	}
 	if b.collectStats {
 		for i := range recs {
 			r := &recs[i]
-			st, ok := b.stats[r.Addr]
-			if !ok {
-				st = sched.NewAddrStats()
-				b.stats[r.Addr] = st
-			}
-			st.Record(tid, r.Site, r.Kind&KindStore != 0)
+			b.statsFor(r.Addr).Record(tid, r.Site, r.Kind&KindStore != 0)
 		}
 	}
 	b.statsMu.Unlock()
+}
+
+// statsFor returns addr's statistics, carving a new entry from the current
+// slab chunk on first sight. The caller holds statsMu.
+func (b *BatchAnalyzer) statsFor(addr pmem.Addr) *sched.AddrStats {
+	if st, ok := b.stats[addr]; ok {
+		return st
+	}
+	if len(b.slab) == 0 {
+		b.slab = make([]sched.AddrStats, min(max(len(b.stats), slabMin), slabMax))
+	}
+	st := &b.slab[0]
+	b.slab = b.slab[1:]
+	b.stats[addr] = st
+	return st
 }
 
 // Stats hands over the per-address statistics accumulated so far. The caller
@@ -130,5 +151,8 @@ func (b *BatchAnalyzer) Counts() (batches, records int64) {
 func (b *BatchAnalyzer) Clock(tid pmem.ThreadID) uint32 {
 	b.statsMu.Lock()
 	defer b.statsMu.Unlock()
+	if int(tid) >= len(b.clocks) {
+		return 0
+	}
 	return b.clocks[tid]
 }

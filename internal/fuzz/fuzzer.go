@@ -270,8 +270,8 @@ type Fuzzer struct {
 	nextSeed   int
 	cov        *cover.Coverage
 	db         *core.DB
-	skips      map[pmem.Addr]int // sync-point skip counts (Pitfall-3 bookkeeping)
-	stats      map[pmem.Addr]*sched.AddrStats
+	skips      map[pmem.Addr]int              // sync-point skip counts (Pitfall-3 bookkeeping)
+	stats      map[pmem.Addr]*sched.AddrStats // campaign-wide: every exec merged, never reset
 	execs      int
 	seedCount  int
 	candSeen   map[[2]uint32]struct{}
@@ -870,7 +870,7 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 	for addr, st := range res.Stats {
 		agg, ok := f.stats[addr]
 		if !ok {
-			agg = sched.NewAddrStats()
+			agg = new(sched.AddrStats)
 			f.stats[addr] = agg
 		}
 		agg.Merge(st)

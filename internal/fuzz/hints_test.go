@@ -66,12 +66,12 @@ func TestApplyAliasHints(t *testing.T) {
 	hotStore := site.Named("hot-store.go")
 
 	stats := map[pmem.Addr]*sched.AddrStats{}
-	hot := sched.NewAddrStats()
+	hot := new(sched.AddrStats)
 	for i := 0; i < 10; i++ {
 		hot.Record(1, hotLoad, false)
 		hot.Record(2, hotStore, true)
 	}
-	cold := sched.NewAddrStats()
+	cold := new(sched.AddrStats)
 	cold.Record(1, hintedLoad, false)
 	cold.Record(2, hintedStore, true)
 	stats[0x100] = hot

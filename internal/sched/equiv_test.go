@@ -11,7 +11,7 @@ import (
 func testStats(n int) map[pmem.Addr]*AddrStats {
 	stats := make(map[pmem.Addr]*AddrStats)
 	for i := 0; i < n; i++ {
-		st := NewAddrStats()
+		st := new(AddrStats)
 		st.Record(0, site.ID(2*i+1), false)
 		st.Record(1, site.ID(2*i+2), true)
 		st.Total = n - i // descending priority

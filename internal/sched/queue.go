@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -9,53 +11,119 @@ import (
 	"github.com/pmrace-go/pmrace/internal/site"
 )
 
-// AddrStats accumulates the observed accesses to one PM address across the
-// executions of a seed. The runtime records every instrumented load and
-// store; the fuzzer folds the records into the priority queue of shared data
-// accesses from which sync points are selected (paper §4.2.2).
+// AddrStats accumulates the observed accesses to one PM address. The runtime
+// records every instrumented load and store into per-execution statistics;
+// the fuzzer merges each execution's into one campaign-wide table, never
+// reset, and builds every priority queue of shared data accesses from that
+// table (paper §4.2.2).
+//
+// The representation is flat so that recording an access allocates nothing:
+// the accessing threads are a bitmask (thread IDs outside [0, 64) go to a
+// short overflow list), and the per-site counters are a small inline array
+// of (site, load/store, count) entries that spills to a slice only past
+// statsInline distinct pairs. The zero value is empty and ready to use.
 type AddrStats struct {
-	Loads   map[site.ID]int
-	Stores  map[site.ID]int
-	Threads map[pmem.ThreadID]struct{}
-	Total   int
+	// Total is the number of recorded accesses.
+	Total int
+
+	threads  uint64          // bit t set: thread t (0 <= t < 64) accessed
+	overflow []pmem.ThreadID // distinct accessing threads outside [0, 64)
+	nInline  int
+	inline   [statsInline]siteCount
+	spill    []siteCount
 }
 
-// NewAddrStats creates empty per-address statistics.
-func NewAddrStats() *AddrStats {
-	return &AddrStats{
-		Loads:   make(map[site.ID]int),
-		Stores:  make(map[site.ID]int),
-		Threads: make(map[pmem.ThreadID]struct{}),
-	}
+// statsInline is how many (site, kind) counters an AddrStats holds before
+// it allocates; most PM words are touched by a handful of instructions.
+const statsInline = 4
+
+// siteCount counts the accesses of one instruction site of one kind.
+type siteCount struct {
+	site  site.ID
+	store bool
+	n     int
 }
 
 // Record adds one access.
 func (a *AddrStats) Record(t pmem.ThreadID, s site.ID, isStore bool) {
-	if isStore {
-		a.Stores[s]++
-	} else {
-		a.Loads[s]++
-	}
-	a.Threads[t] = struct{}{}
+	a.addThread(t)
+	a.addSite(s, isStore, 1)
 	a.Total++
 }
 
-// Shared reports whether the address was accessed by more than one thread
-// (the "shared data access" selection principle).
-func (a *AddrStats) Shared() bool { return len(a.Threads) > 1 }
-
 // Merge folds other into a.
 func (a *AddrStats) Merge(other *AddrStats) {
-	for s, n := range other.Loads {
-		a.Loads[s] += n
+	a.threads |= other.threads
+	for _, t := range other.overflow {
+		a.addThread(t)
 	}
-	for s, n := range other.Stores {
-		a.Stores[s] += n
-	}
-	for t := range other.Threads {
-		a.Threads[t] = struct{}{}
+	for _, part := range other.counters() {
+		for _, c := range part {
+			a.addSite(c.site, c.store, c.n)
+		}
 	}
 	a.Total += other.Total
+}
+
+// Threads returns how many distinct threads accessed the address.
+func (a *AddrStats) Threads() int { return bits.OnesCount64(a.threads) + len(a.overflow) }
+
+// Shared reports whether the address was accessed by more than one thread
+// (the "shared data access" selection principle).
+func (a *AddrStats) Shared() bool { return a.Threads() > 1 }
+
+// Loads returns how many loads site s made of the address.
+func (a *AddrStats) Loads(s site.ID) int { return a.count(s, false) }
+
+// Stores returns how many stores site s made to the address.
+func (a *AddrStats) Stores(s site.ID) int { return a.count(s, true) }
+
+func (a *AddrStats) addThread(t pmem.ThreadID) {
+	if uint32(t) < 64 {
+		a.threads |= 1 << uint32(t)
+	} else if !slices.Contains(a.overflow, t) {
+		a.overflow = append(a.overflow, t)
+	}
+}
+
+// counters returns the site counters in two parts: inline, then spilled.
+func (a *AddrStats) counters() [2][]siteCount {
+	return [2][]siteCount{a.inline[:a.nInline], a.spill}
+}
+
+func (a *AddrStats) addSite(s site.ID, isStore bool, n int) {
+	if c := a.find(s, isStore); c != nil {
+		c.n += n
+		return
+	}
+	c := siteCount{site: s, store: isStore, n: n}
+	if a.nInline < statsInline {
+		a.inline[a.nInline] = c
+		a.nInline++
+		return
+	}
+	a.spill = append(a.spill, c)
+}
+
+func (a *AddrStats) find(s site.ID, isStore bool) *siteCount {
+	for i := range a.inline[:a.nInline] {
+		if c := &a.inline[i]; c.site == s && c.store == isStore {
+			return c
+		}
+	}
+	for i := range a.spill {
+		if c := &a.spill[i]; c.site == s && c.store == isStore {
+			return c
+		}
+	}
+	return nil
+}
+
+func (a *AddrStats) count(s site.ID, isStore bool) int {
+	if c := a.find(s, isStore); c != nil {
+		return c.n
+	}
+	return 0
 }
 
 // Entry is one priority-queue element: a PM address with the load and store
@@ -101,20 +169,36 @@ type Queue struct {
 func BuildQueue(stats map[pmem.Addr]*AddrStats) *Queue {
 	q := &Queue{}
 	for addr, st := range stats {
-		if !st.Shared() || len(st.Loads) == 0 || len(st.Stores) == 0 {
+		if !st.Shared() {
+			continue
+		}
+		var loads, stores int
+		for _, part := range st.counters() {
+			for _, c := range part {
+				if c.store {
+					stores++
+				} else {
+					loads++
+				}
+			}
+		}
+		if loads == 0 || stores == 0 {
 			continue
 		}
 		e := &Entry{
 			Addr:       addr,
-			LoadSites:  make(map[site.ID]struct{}, len(st.Loads)),
-			StoreSites: make(map[site.ID]struct{}, len(st.Stores)),
+			LoadSites:  make(map[site.ID]struct{}, loads),
+			StoreSites: make(map[site.ID]struct{}, stores),
 			Priority:   st.Total,
 		}
-		for s := range st.Loads {
-			e.LoadSites[s] = struct{}{}
-		}
-		for s := range st.Stores {
-			e.StoreSites[s] = struct{}{}
+		for _, part := range st.counters() {
+			for _, c := range part {
+				if c.store {
+					e.StoreSites[c.site] = struct{}{}
+				} else {
+					e.LoadSites[c.site] = struct{}{}
+				}
+			}
 		}
 		q.entries = append(q.entries, e)
 	}

@@ -10,12 +10,12 @@ import (
 func twoEntryStats() map[pmem.Addr]*AddrStats {
 	ld, st := site.Named("r-load.go"), site.Named("r-store.go")
 	stats := map[pmem.Addr]*AddrStats{}
-	hot := NewAddrStats()
+	hot := new(AddrStats)
 	for i := 0; i < 5; i++ {
 		hot.Record(1, ld, false)
 		hot.Record(2, st, true)
 	}
-	cold := NewAddrStats()
+	cold := new(AddrStats)
 	cold.Record(1, ld, false)
 	cold.Record(2, st, true)
 	stats[0xA] = hot

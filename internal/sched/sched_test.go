@@ -20,7 +20,7 @@ func entryFor(addr pmem.Addr, loads, stores []site.ID) *Entry {
 }
 
 func TestAddrStatsRecordAndShared(t *testing.T) {
-	st := NewAddrStats()
+	st := new(AddrStats)
 	st.Record(1, 10, false)
 	if st.Shared() {
 		t.Fatalf("single-thread access must not be shared")
@@ -29,18 +29,18 @@ func TestAddrStatsRecordAndShared(t *testing.T) {
 	if !st.Shared() || st.Total != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.Loads[10] != 1 || st.Stores[11] != 1 {
+	if st.Loads(10) != 1 || st.Stores(11) != 1 {
 		t.Fatalf("site counts wrong: %+v", st)
 	}
 }
 
 func TestAddrStatsMerge(t *testing.T) {
-	a, b := NewAddrStats(), NewAddrStats()
+	a, b := new(AddrStats), new(AddrStats)
 	a.Record(1, 10, false)
 	b.Record(2, 10, false)
 	b.Record(2, 11, true)
 	a.Merge(b)
-	if a.Total != 3 || a.Loads[10] != 2 || !a.Shared() {
+	if a.Total != 3 || a.Loads(10) != 2 || !a.Shared() {
 		t.Fatalf("merged = %+v", a)
 	}
 }
@@ -48,24 +48,24 @@ func TestAddrStatsMerge(t *testing.T) {
 func TestBuildQueueFiltersAndOrders(t *testing.T) {
 	stats := map[pmem.Addr]*AddrStats{}
 	// Hot shared address with loads and stores.
-	hot := NewAddrStats()
+	hot := new(AddrStats)
 	for i := 0; i < 10; i++ {
 		hot.Record(1, 1, false)
 		hot.Record(2, 2, true)
 	}
 	stats[100] = hot
 	// Cooler shared address.
-	cool := NewAddrStats()
+	cool := new(AddrStats)
 	cool.Record(1, 3, false)
 	cool.Record(2, 4, true)
 	stats[200] = cool
 	// Shared but load-only: no read-after-write to force.
-	loadOnly := NewAddrStats()
+	loadOnly := new(AddrStats)
 	loadOnly.Record(1, 5, false)
 	loadOnly.Record(2, 6, false)
 	stats[300] = loadOnly
 	// Unshared.
-	solo := NewAddrStats()
+	solo := new(AddrStats)
 	solo.Record(1, 7, false)
 	solo.Record(1, 8, true)
 	stats[400] = solo
@@ -93,7 +93,7 @@ func TestBuildQueueFiltersAndOrders(t *testing.T) {
 func TestBuildQueueDeterministicTieBreak(t *testing.T) {
 	stats := map[pmem.Addr]*AddrStats{}
 	for _, addr := range []pmem.Addr{300, 100, 200} {
-		st := NewAddrStats()
+		st := new(AddrStats)
 		st.Record(1, 1, false)
 		st.Record(2, 2, true)
 		stats[addr] = st
